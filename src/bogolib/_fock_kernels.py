@@ -8,7 +8,7 @@ exchange a0^dag a0^dag a+ a- and its conjugate.
 Two interchangeable implementations are provided: a numba ``@njit``
 kernel (default when numba imports) and a vectorized pure-numpy assembly.
 Set the environment variable ``BOGOLIB_DISABLE_NUMBA=1`` to force the
-numpy path; ``benchmarks/bench_fock.py`` compares the two.
+numpy path.
 """
 
 from __future__ import annotations

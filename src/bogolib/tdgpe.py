@@ -12,8 +12,11 @@ Mode functions ride along via
 
 integrated with an explicit second-order (Heun) step synchronized to the
 condensate steps, the time derivative taken from the evolution's own
-right-hand side.  This keeps the mode set orthonormal and orthogonal to
-the condensate up to integrator error, which is tracked, not repaired.
+right-hand side.  The right-hand side is linear in the modes, so the two
+Heun stages fold into closed form: one scale of the (K, n) mode matrix
+plus a rank-2 update along xi(t) and xi(t + dt).  This keeps the mode
+set orthonormal and orthogonal to the condensate up to integrator error,
+which is tracked, not repaired.
 
 The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
@@ -36,7 +39,7 @@ import scipy.linalg
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, DimensionMismatchError, IntegratorError
 from .gpe import CondensateState, _quadrature_mu_h1, apply_gp_operator
-from .grid import ComplexField, Grid1D, inner_product
+from .grid import ComplexField, Grid1D, _sine_transform, inner_product
 
 EVOLUTIONS = ("gpe", "linear")
 
@@ -159,12 +162,7 @@ def _stepper(grid: Grid1D, dt: float, u_eff: float, potential_of_t):
     else:
 
         def kinetic_half(values):
-            re = scipy.fft.dst(values.real, type=1, norm="ortho")
-            im = scipy.fft.dst(values.imag, type=1, norm="ortho")
-            coeff = exp_half * (re + 1j * im)
-            return scipy.fft.idst(coeff.real, type=1, norm="ortho") + 1j * scipy.fft.idst(
-                coeff.imag, type=1, norm="ortho"
-            )
+            return _sine_transform(exp_half * _sine_transform(values))
 
     def step(values, t):
         out = kinetic_half(values)
@@ -273,6 +271,29 @@ def _evolution_rhs(traj: Trajectory, values: np.ndarray, t: float) -> np.ndarray
     return -1j * apply_gp_operator(traj.grid, traj.potential_of_t(t), u_eff, values)
 
 
+def _heun_mode_step(phi, psi, psi_dot, psi_next, psi_dot_next, dt, dx):
+    """One Heun step of dphi_k/dt = c phi_k - b_k psi in closed form.
+
+    With c = <psi, psi_dot> dx and b = phi psi_dot^* dx, the two stages
+    k1 = c1 phi - b1 psi and k2 = c2 (phi + dt k1) - b2 psi_next fold into
+
+        phi + dt/2 (k1 + k2) = a phi - (dt/2)(1 + dt c2) b1 psi - (dt/2) b2 psi_next,
+
+    a = 1 + dt/2 (c1 + c2 (1 + dt c1)), where b2 = (phi + dt k1) psi_dot_next^* dx
+    = (1 + dt c1) phi psi_dot_next^* dx - dt b1 (psi . psi_dot_next^*) dx.
+    That is one scale of phi plus a (K, 2) by (2, n) product, with no
+    (K, n) stage temporaries.
+    """
+    c1 = np.vdot(psi, psi_dot) * dx
+    c2 = np.vdot(psi_next, psi_dot_next) * dx
+    b12 = phi @ np.conj(np.stack((psi_dot, psi_dot_next), axis=1)) * dx
+    b1 = b12[:, 0]
+    b2 = (1.0 + dt * c1) * b12[:, 1] - dt * b1 * (np.vdot(psi_dot_next, psi) * dx)
+    coeffs = np.stack((-0.5 * dt * (1.0 + dt * c2) * b1, -0.5 * dt * b2), axis=1)
+    a = 1.0 + 0.5 * dt * (c1 + c2 * (1.0 + dt * c1))
+    return a * phi + coeffs @ np.stack((psi, psi_next))
+
+
 def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
     """Fill the trajectory with co-evolved mode-function snapshots.
 
@@ -308,11 +329,6 @@ def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
     def rhs(values, t):
         return -1j * apply_gp_operator(grid, pot(t), u_eff, values)
 
-    def mode_rhs(phi, psi, psi_dot):
-        c = np.vdot(psi, psi_dot) * dx
-        b = (phi @ psi_dot.conj()) * dx  # b_k = <psi_dot, phi_k>
-        return c * phi - np.outer(b, psi)
-
     phi = initial_basis.mode_matrix.astype(np.complex128).copy()
     psi = xi0.values.copy()
     psi_dot = rhs(psi, 0.0)
@@ -339,9 +355,7 @@ def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
         t_prev = (j - 1) * dt
         psi_next = step(psi, t_prev)
         psi_dot_next = rhs(psi_next, j * dt)
-        k1 = mode_rhs(phi, psi, psi_dot)
-        k2 = mode_rhs(phi + dt * k1, psi_next, psi_dot_next)
-        phi = phi + 0.5 * dt * (k1 + k2)
+        phi = _heun_mode_step(phi, psi, psi_dot, psi_next, psi_dot_next, dt, dx)
         psi, psi_dot = psi_next, psi_dot_next
         if j in snapshot_steps:
             record(j, phi)
