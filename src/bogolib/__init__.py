@@ -70,6 +70,7 @@ from .number_shift import (
     StationaryProblem,
     build_report,
     dxi_dN,
+    exact_dxi_dN,
     matrix_elements,
     modified_amplitudes,
     phase_fix_and_r,

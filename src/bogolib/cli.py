@@ -146,7 +146,6 @@ SCHEMA = {
         "dt": (_parse_bounded_float(0, lo_open=True), 1e-3),
         "t_final": (_parse_bounded_float(0, lo_open=True), 10.0),
         "k_modes": (_parse_bounded_int(1), None),
-        "delta_n": (_parse_bounded_float(0, lo_open=True), 0.5),
         "n_max_excited": (_parse_bounded_int(1, 60), None),
         "evolution": (_parse_choice(("gpe", "linear")), "gpe"),
     },
@@ -559,7 +558,7 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     spectrum = diagonalize(assemble(state, basis), basis)
-    report = build_report(problem, state, basis, spectrum, delta_N=num["delta_n"])
+    report = build_report(problem, state, basis, spectrum)
 
     rel_corrections = [
         _norm_of(f.values - p.values, grid.dx) / max(_norm_of(p.values, grid.dx), 1e-300)
@@ -585,7 +584,7 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
         "r_norm_sq": float(np.sum(np.abs(report.r) ** 2)),
         "truncation_residual": report.truncation_residual,
         "condensate_amplitude": report.condensate_amplitude,
-        "delta_n": report.delta_N,
+        "dmu_dn": report.dmu_dN,
         "max_f_correction_rel": float(max(rel_corrections)),
     }
 

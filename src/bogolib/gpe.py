@@ -6,6 +6,18 @@ Finds the real, nodeless ground-state orbital xi(x) of
 
 by normalized imaginary-time split stepping with an adaptive step,
 polished by a projected Newton iteration once the residual is small.
+
+Each Newton step solves the bordered system
+
+    [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [d xi; d mu] = [-r; 0]
+
+for the residual r = (T + V + u_tilde xi^2 - mu) xi, with T the dense
+kinetic matrix.  Newton stops as soon as a step fails to halve the
+residual: that residual is the round-off floor of the grid.  A floor
+above ``tol`` is a ``ConvergenceError`` that names it.  The same matrix
+at the converged state gives the exact N-derivative of the orbital (see
+``number_shift.exact_dxi_dN``), with right-hand side [-(u_tilde/N) xi^3; 0].
+
 The chemical potential is always reported through the energy functional
 
     mu = integral( xi* (-1/2 d^2/dx^2) xi + V |xi|^2 + u_tilde |xi|^4 ) dx,
@@ -51,6 +63,10 @@ class CondensateState:
         return self.xi.grid
 
 
+# Safety cap on Newton steps; each kept step at least halves the residual.
+_NEWTON_MAX_STEPS = 40
+
+
 def zero_potential(grid: Grid1D) -> ComplexField:
     return ComplexField(np.zeros(grid.n_points, dtype=np.complex128), grid)
 
@@ -93,6 +109,24 @@ def _residual_norm(grid, v_real, u_tilde, xi_values, mu):
     return float(np.sqrt(np.vdot(r, r).real * grid.dx))
 
 
+def _solve_bordered(kin, v_real, u_tilde, psi, mu, dx, rhs):
+    """Solve the bordered system of the module docstring for (d, m).
+
+    [[kin + V + 3 u_tilde psi^2 - mu, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0],
+    with ``psi`` the real orbital and ``kin`` the dense kinetic matrix.
+    Raises ``scipy.linalg.LinAlgError`` if the matrix is singular.
+    """
+    n = psi.shape[0]
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = kin
+    diag = np.arange(n)
+    system[diag, diag] += v_real + 3.0 * u_tilde * psi**2 - mu
+    system[:n, n] = -psi
+    system[n, :n] = psi * dx
+    solution = scipy.linalg.solve(system, np.append(rhs, 0.0), overwrite_a=True)
+    return solution[:n], float(solution[n])
+
+
 def solve_stationary(
     grid: Grid1D,
     potential: ComplexField,
@@ -118,7 +152,9 @@ def solve_stationary(
     ConfigurationError
         For u_tilde < 0 or a complex potential.
     ConvergenceError
-        If the residual target is not reached; carries the last residual.
+        If the residual target is not reached; carries the residual of the
+        last kept iterate, and the message says why Newton stopped (its
+        round-off floor, a singular Jacobian or a diverging step).
     """
     if u_tilde < 0:
         raise ConfigurationError("attractive interactions (u_tilde < 0) are not supported")
@@ -177,37 +213,40 @@ def solve_stationary(
 
     residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
 
-    # Projected Newton polish on the real-valued problem.
+    # Projected Newton polish on the real-valued problem.  A step is kept
+    # only if it lowers the residual; Newton stops at the first step that
+    # does not halve it, so ``residual`` always belongs to ``psi``.
+    stop, cause = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor", None
     if residual > tol:
         kin = kinetic_matrix(grid)
-        n = grid.n_points
-        for _ in range(40):
-            if residual <= max(tol * 1e-2, 1e-14):
-                break
+        for _ in range(_NEWTON_MAX_STEPS):
             r_vec = apply_gp_operator(grid, v_real, u_tilde, psi).real - mu * psi
-            jac = kin + np.diag(v_real + 3.0 * u_tilde * psi**2 - mu)
-            system = np.zeros((n + 1, n + 1))
-            system[:n, :n] = jac
-            system[:n, n] = -psi
-            system[n, :n] = psi * grid.dx
-            rhs = np.concatenate([-r_vec, [0.0]])
             try:
-                step = scipy.linalg.solve(system, rhs)
-            except scipy.linalg.LinAlgError:
+                step, _ = _solve_bordered(kin, v_real, u_tilde, psi, mu, grid.dx, -r_vec)
+            except scipy.linalg.LinAlgError as exc:
+                stop, cause = "hit a singular Jacobian", exc
                 break
-            psi = psi + step[:n]
-            psi /= np.sqrt(np.sum(psi**2) * grid.dx)
-            mu, _, _ = _quadrature_mu_h1(grid, v_real, u_tilde, psi)
-            new_residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
-            if not np.isfinite(new_residual) or new_residual > 10 * residual:
+            trial = psi + step
+            trial /= np.sqrt(np.sum(trial**2) * grid.dx)
+            trial_mu, _, _ = _quadrature_mu_h1(grid, v_real, u_tilde, trial)
+            new_residual = _residual_norm(grid, v_real, u_tilde, trial, trial_mu)
+            if not new_residual <= 10 * residual:  # also catches NaN
+                stop = f"took a diverging step (residual {new_residual:.3e})"
+                break
+            if new_residual < residual:
+                psi, mu = trial, trial_mu
+            if new_residual > 0.5 * residual:
+                residual = min(residual, new_residual)
+                stop = f"reached the round-off floor {residual:.3e} of the grid"
                 break
             residual = new_residual
 
     if residual > tol:
         raise ConvergenceError(
-            f"stationary solve stalled at residual {residual:.3e} (target {tol:.1e})",
+            f"stationary solve stalled at residual {residual:.3e} (target {tol:.1e}): "
+            f"Newton {stop}",
             residual=residual,
-        )
+        ) from cause
 
     # Ground-state gauge: real and non-negative overall sign.
     if psi.sum() < 0:

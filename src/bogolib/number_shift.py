@@ -4,7 +4,14 @@ The condensate orbital depends on the total number N through the scaled
 interaction N*u.  Differentiating the solved orbital with respect to N
 gives a field whose expansion over {xi, xi_k} yields a gauge coefficient
 r0 (removable by a phase choice along the N-family) and coefficients r_k
-of order one.  These feed the corrected transition amplitudes
+of order one.  ``exact_dxi_dN`` differentiates the stationary equation
+itself: one solve of the Newton system of ``gpe`` at the converged state,
+
+    [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [dxi/dN; dmu/dN] = [-u xi^3; 0],
+
+whose solution is real and orthogonal to xi, so r0 vanishes by
+construction.  ``dxi_dN`` (finite differences of full solves) is kept as
+an independent check.  The r_k feed the corrected transition amplitudes
 
     f_m = p_m - xi * sum_k r_k c_km
     g_m = q_m - xi * sum_k r_k s_km
@@ -22,8 +29,8 @@ import numpy as np
 
 from .bdg import PhononBasis, QuasiparticleSpectrum
 from .errors import ConfigurationError, DimensionMismatchError, TruncationError
-from .gpe import CondensateState, solve_stationary
-from .grid import ComplexField, Grid1D, inner_product
+from .gpe import CondensateState, _solve_bordered, solve_stationary
+from .grid import ComplexField, Grid1D, inner_product, kinetic_matrix
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,8 @@ def dxi_dN(
     Neighboring solves are parallel-transport aligned (phase fixed so the
     overlap with the N-point orbital is real positive) before
     differencing; ``scheme`` is ``"central"`` (default) or ``"forward"``.
+    Three full stationary solves: the independent check of
+    ``exact_dxi_dN``, whose result it approaches as O(delta_N^2).
     """
     if delta_N <= 0:
         raise ConfigurationError("delta_N must be positive")
@@ -78,6 +87,32 @@ def dxi_dN(
     else:
         raise ConfigurationError(f"unknown scheme {scheme!r}")
     return ComplexField(values, problem.grid)
+
+
+def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
+    """N-derivatives (dxi/dN, dmu/dN) of a solved state, by one bordered solve.
+
+    The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
+    ``state`` must hold the real orbital that ``solve_stationary``
+    returns; a phased (complex) orbital raises ``ConfigurationError``.
+    """
+    if np.any(state.xi.values.imag != 0.0):
+        raise ConfigurationError(
+            "the exact N-derivative needs the real orbital solve_stationary "
+            "returns; this state's xi has a non-zero imaginary part"
+        )
+    grid = state.grid
+    psi = state.xi.values.real
+    dpsi, dmu = _solve_bordered(
+        kinetic_matrix(grid),
+        state.potential.values.real,
+        state.u_tilde,
+        psi,
+        state.mu,
+        grid.dx,
+        -(state.u_tilde / state.n_particles) * psi**3,
+    )
+    return ComplexField(dpsi.astype(np.complex128), grid), dmu
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,7 +202,7 @@ class NumberShiftReport:
     r: np.ndarray
     f_waves: list[ComplexField]
     g_waves: list[ComplexField]
-    delta_N: float
+    dmu_dN: float
     condensate_amplitude: float
     r0_raw: float = 0.0
     truncation_residual: float = 0.0
@@ -178,10 +213,18 @@ def build_report(
     state: CondensateState,
     basis: PhononBasis,
     spectrum: QuasiparticleSpectrum,
-    delta_N: float = 0.5,
 ) -> NumberShiftReport:
-    """Run the full derivative -> expansion -> amplitude chain."""
-    dxi = dxi_dN(problem, state.n_particles, delta_N)
+    """Run the full derivative -> expansion -> amplitude chain.
+
+    ``state`` is ``problem.solve(N)``; the derivative is exact (one
+    bordered solve), with no further stationary solve.
+    """
+    if not np.isclose(state.u_tilde, problem.u * state.n_particles, rtol=1e-12, atol=0.0):
+        raise ConfigurationError(
+            f"state has u_tilde {state.u_tilde!r}, but the problem's coupling "
+            f"gives {problem.u * state.n_particles!r} at N = {state.n_particles!r}"
+        )
+    dxi, dmu = exact_dxi_dN(state)
     fix = phase_fix_and_r(state, basis, dxi)
     f_waves, g_waves = modified_amplitudes(spectrum, state, fix.r)
     return NumberShiftReport(
@@ -190,7 +233,7 @@ def build_report(
         r=fix.r,
         f_waves=f_waves,
         g_waves=g_waves,
-        delta_N=delta_N,
+        dmu_dN=dmu,
         condensate_amplitude=float(np.sqrt(state.n_particles + 1.0)),
         r0_raw=fix.r0_raw,
         truncation_residual=fix.truncation_residual,

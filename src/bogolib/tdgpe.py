@@ -265,12 +265,6 @@ def propagate(
     )
 
 
-def _evolution_rhs(traj: Trajectory, values: np.ndarray, t: float) -> np.ndarray:
-    """dxi/dt of the trajectory's own equation of motion."""
-    u_eff = traj.u_tilde if traj.evolution == "gpe" else 0.0
-    return -1j * apply_gp_operator(traj.grid, traj.potential_of_t(t), u_eff, values)
-
-
 def _heun_mode_step(phi, psi, psi_dot, psi_next, psi_dot_next, dt, dx):
     """One Heun step of dphi_k/dt = c phi_k - b_k psi in closed form.
 

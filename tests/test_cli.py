@@ -106,6 +106,14 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert "coupling" in capsys.readouterr().err
 
+    def test_removed_delta_n_key_rejected(self, tmp_path, capsys):
+        # The number-shift derivative is exact; its old finite-difference
+        # step is no longer a config key.
+        bad = UNIFORM_SPECTRUM.replace("k_modes = 16", "k_modes = 16\ndelta_n = 0.5")
+        path = write_config(tmp_path, bad, outdir=tmp_path / "out")
+        assert main(["validate", path]) == 2
+        assert "delta_n" in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(
             tmp_path, UNIFORM_SPECTRUM + "\n[plotting]\nstyle = dark\n", outdir=tmp_path
@@ -211,6 +219,8 @@ directory = {outdir}
         summary = json.loads((outdir / "summary.json").read_text())
         assert abs(summary["results"]["r0"]) < 1e-8
         assert summary["results"]["r_norm_sq"] > 1e-3
+        assert summary["results"]["dmu_dn"] > 0.0
+        assert "delta_n" not in summary["results"]
 
     def test_homogeneous_check_scenario(self, tmp_path):
         cfg = """

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from bogolib import gpe
 from bogolib.bdg import build_phonon_basis, plane_wave_basis
 from bogolib.errors import ConfigurationError, ConvergenceError
 from bogolib.gpe import (
@@ -76,6 +78,80 @@ class TestSolveStationary:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=10.0, tol=1e-16)
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 1e-16
+
+
+ORIGINAL_SOLVE = scipy.linalg.solve
+
+
+class SolveSpy:
+    """Stand-in for scipy.linalg.solve that counts the bordered solves.
+
+    ``on_call`` maps a 1-based call number to a function that replaces
+    the true solution of that call (or raises).
+    """
+
+    def __init__(self, on_call=None):
+        self.calls = 0
+        self.on_call = on_call or {}
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        solution = ORIGINAL_SOLVE(*args, **kwargs)
+        tamper = self.on_call.get(self.calls)
+        return tamper(solution) if tamper else solution
+
+
+def _huge_step(solution):
+    return 1e6 * solution
+
+
+def _singular(solution):
+    raise scipy.linalg.LinAlgError("singular matrix")
+
+
+class TestNewtonPolish:
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    @pytest.mark.parametrize("n_points", [128, 512, 1024])
+    def test_ladder_converges_in_few_solves(self, monkeypatch, boundary, n_points):
+        spy = SolveSpy()
+        monkeypatch.setattr(gpe.scipy.linalg, "solve", spy)
+        grid = build_grid(n_points, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
+        assert state.residual <= 1e-11
+        assert state.residual == pytest.approx(gpe_residual(state))
+        assert 1 <= spy.calls <= 6
+
+    def test_floor_above_tol_fails_fast_and_names_it(self, monkeypatch):
+        # At n=2048 on this box the round-off floor (about 1.2e-11) lies
+        # just above the default tol.
+        spy = SolveSpy()
+        monkeypatch.setattr(gpe.scipy.linalg, "solve", spy)
+        grid = build_grid(2048, 16.0, "box")
+        with pytest.raises(ConvergenceError, match="round-off floor") as excinfo:
+            solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        assert excinfo.value.residual > 1e-11
+        assert f"{excinfo.value.residual:.3e}" in str(excinfo.value)
+        assert spy.calls <= 6
+
+    def test_rejected_step_keeps_last_accepted_state(self, monkeypatch, trap_grid):
+        # The first Newton step reaches ~4e-5 <= tol; the second is blown up.
+        # The returned residual must belong to the returned orbital.
+        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({2: _huge_step}))
+        state = solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0, tol=1e-4)
+        assert state.residual == pytest.approx(gpe_residual(state))
+        assert abs(norm(state.xi) - 1.0) < 1e-12
+
+    def test_diverging_step_named(self, monkeypatch, trap_grid):
+        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({2: _huge_step}))
+        with pytest.raises(ConvergenceError, match="diverging step") as excinfo:
+            solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
+        assert excinfo.value.residual < 1e-3
+
+    def test_singular_jacobian_named_and_chained(self, monkeypatch, trap_grid):
+        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({1: _singular}))
+        with pytest.raises(ConvergenceError, match="singular Jacobian") as excinfo:
+            solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
+        assert isinstance(excinfo.value.__cause__, scipy.linalg.LinAlgError)
 
 
 class TestFunctionals:

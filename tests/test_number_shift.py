@@ -9,6 +9,7 @@ from bogolib.number_shift import (
     StationaryProblem,
     build_report,
     dxi_dN,
+    exact_dxi_dN,
     matrix_elements,
     modified_amplitudes,
     phase_fix_and_r,
@@ -66,6 +67,70 @@ class TestDxiDN:
             dxi_dN(trap_problem, 100.0, -0.5)
         with pytest.raises(ConfigurationError):
             dxi_dN(trap_problem, 100.0, 0.5, scheme="spectral")
+
+
+class TestExactDxiDN:
+    def test_finite_difference_converges_to_exact_r(self, trap_setup):
+        # The central difference carries an O(dN^2) error: its gap to the
+        # exact r shrinks about 4x when the step halves.
+        problem, state, basis, _ = trap_setup
+        exact = phase_fix_and_r(state, basis, exact_dxi_dN(state)[0])
+        gaps = []
+        for step in (0.5, 0.25):
+            fd = phase_fix_and_r(state, basis, dxi_dN(problem, 100.0, step))
+            gaps.append(np.max(np.abs(fd.r - exact.r)))
+        assert gaps[0] < 1e-4 * np.max(np.abs(exact.r))
+        assert 3.5 < gaps[0] / gaps[1] < 4.5
+
+    def test_real_and_gauge_fixed(self, trap_setup):
+        _, state, basis, _ = trap_setup
+        dxi, _ = exact_dxi_dN(state)
+        assert np.all(dxi.values.imag == 0.0)
+        fix = phase_fix_and_r(state, basis, dxi)
+        assert fix.r0_raw == 0.0
+        assert abs(inner_product(state.xi, dxi)) < 1e-12
+
+    def test_dmu_dn_matches_central_difference(self, trap_setup):
+        problem, state, _, _ = trap_setup
+        _, dmu = exact_dxi_dN(state)
+        central = (problem.solve(100.5).mu - problem.solve(99.5).mu) / 1.0
+        assert dmu == pytest.approx(central, rel=1e-5)
+
+    def test_dmu_dn_thomas_fermi_scaling(self, wide_trap_grid):
+        # Thomas-Fermi: mu grows as (u N)^(2/3), so N dmu/dN / mu -> 2/3.
+        problem = StationaryProblem(
+            grid=wide_trap_grid, potential=harmonic_potential(wide_trap_grid), u=0.1
+        )
+        state = problem.solve(1000.0)
+        _, dmu = exact_dxi_dN(state)
+        assert dmu * state.n_particles / state.mu == pytest.approx(2.0 / 3.0, rel=5e-3)
+
+    def test_phased_orbital_rejected(self, trap_setup):
+        problem, state, basis, spectrum = trap_setup
+        phased = CondensateState(
+            xi=ComplexField(state.xi.values * np.exp(0.3j), state.grid),
+            n_particles=state.n_particles,
+            u_tilde=state.u_tilde,
+            potential=state.potential,
+            mu=state.mu,
+            residual=state.residual,
+        )
+        with pytest.raises(ConfigurationError, match="imaginary"):
+            build_report(problem, phased, basis, spectrum)
+
+    def test_state_of_another_coupling_rejected(self, trap_setup, trap_problem):
+        _, state, basis, spectrum = trap_setup
+        other = StationaryProblem(trap_problem.grid, trap_problem.potential, u=0.2)
+        with pytest.raises(ConfigurationError, match="u_tilde"):
+            build_report(other, state, basis, spectrum)
+
+    def test_report_carries_exact_derivative(self, trap_setup):
+        problem, state, basis, spectrum = trap_setup
+        report = build_report(problem, state, basis, spectrum)
+        dxi, dmu = exact_dxi_dN(state)
+        assert np.array_equal(report.dxi_dN.values, dxi.values)
+        assert report.dmu_dN == dmu
+        assert report.r0_raw == 0.0
 
 
 class TestPhaseFixAndR:
@@ -148,7 +213,7 @@ class TestModifiedAmplitudes:
         state = problem.solve(50.0)
         basis = build_phonon_basis(state, 16)
         spectrum = diagonalize(assemble(state, basis), basis)
-        report = build_report(problem, state, basis, spectrum, delta_N=0.5)
+        report = build_report(problem, state, basis, spectrum)
         assert np.max(np.abs(report.r)) < 1e-8
         for f, p in zip(report.f_waves, spectrum.p_waves):
             assert np.max(np.abs(f.values - p.values)) < 1e-8
@@ -157,7 +222,7 @@ class TestModifiedAmplitudes:
 
     def test_interacting_corrections_significant(self, trap_setup):
         problem, state, basis, spectrum = trap_setup
-        report = build_report(problem, state, basis, spectrum, delta_N=0.5)
+        report = build_report(problem, state, basis, spectrum)
         rel = [
             norm(ComplexField(f.values - p.values, state.grid)) / norm(p)
             for f, p in zip(report.f_waves, spectrum.p_waves)
@@ -209,7 +274,7 @@ class TestGaugeInvariance:
 class TestMatrixElements:
     def test_bookkeeping_identity(self, trap_setup):
         problem, state, basis, spectrum = trap_setup
-        report = build_report(problem, state, basis, spectrum, delta_N=0.5)
+        report = build_report(problem, state, basis, spectrum)
         elements = matrix_elements(state, report)
         recovered = elements.ground_to_ground.values / elements.condensate_amplitude
         assert np.max(np.abs(recovered - state.xi.values)) < 1e-12
@@ -225,7 +290,7 @@ class TestMatrixElements:
         state = problem.solve(100.0)
         basis = build_phonon_basis(state, 8)
         spectrum = diagonalize(assemble(state, basis), basis)
-        report = build_report(problem, state, basis, spectrum, delta_N=0.5)
+        report = build_report(problem, state, basis, spectrum)
         elements = matrix_elements(state, report)
         scale = elements.condensate_amplitude * elements.channel_order
         for ch, p in zip(elements.f_channels, spectrum.p_waves):
