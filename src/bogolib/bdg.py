@@ -9,12 +9,21 @@ xi is parametrized by a Hermitian matrix M = L + F and a symmetric matrix G:
     E3   = -(u_tilde/2) * integral |xi|^4 dx
 
 Quasiparticles follow from the positive-norm eigenpairs of the 2K x 2K
-block matrix [[M, G], [-conj(G), -conj(M)]]; an eigenvector (u; v) with
-u^H u - v^H v = 1 gives transformation columns c = u and s = conj(v), and
-mode wavefunctions p_m = sum_k c_km xi_k, q_m = sum_k s_km xi_k.  The
-scalar left over after normal ordering is
+block matrix sigma D = [[M, G], [-conj(G), -conj(M)]], with
+D = [[M, G], [conj(G), conj(M)]] and sigma = diag(I, -I); an eigenvector
+(u; v) with u^H u - v^H v = 1 gives transformation columns c = u and
+s = conj(v), and mode wavefunctions p_m = sum_k c_km xi_k,
+q_m = sum_k s_km xi_k.  The scalar left over after normal ordering is
 
     omega_g = E3 + (sum_m eps_m - tr M) / 2.
+
+A stable Hamiltonian has D positive definite and is diagonalized by
+Colpa's method (J. H. P. Colpa, Physica A 93, 327 (1978)): with the
+Cholesky factor D = L L^H, the Hermitian matrix L^H sigma L has K positive
+eigenvalues, the quasiparticle energies, and its eigenvectors Y give the
+symplectic columns T = L^-H Y sqrt(eps) directly.  The general
+non-Hermitian ``eig`` of sigma D runs only when the Cholesky factorization
+fails, i.e. for a complex frequency, a negative energy or a zero mode.
 """
 
 from __future__ import annotations
@@ -25,7 +34,12 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, DegeneracyError, DimensionMismatchError
+from .errors import (
+    ConfigurationError,
+    DegeneracyError,
+    DimensionMismatchError,
+    InstabilityError,
+)
 from .gpe import CondensateState
 from .grid import ComplexField, Grid1D, _kinetic_values, kinetic_matrix
 
@@ -185,6 +199,41 @@ def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian
     )
 
 
+def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
+    """Colpa's Hermitian diagonalization of a positive-definite D.
+
+    Factors D = [[M, G], [G*, M*]] = L L^H and diagonalizes the Hermitian
+    W = L^H sigma L, sigma = diag(I, -I).  W has exactly K positive
+    eigenvalues w, which are the quasiparticle energies; for eigenvectors
+    Y of W the columns of T = L^-H Y sqrt(w) are eigenvectors of sigma D
+    with T^H sigma T = I, degenerate clusters included.  Each column's
+    phase makes its largest-|u| entry real and positive.  Returns the
+    energies, or (energies, u, v) with T = (u; v).  Raises ``LinAlgError``
+    when D is not positive definite (an instability, a negative energy
+    or a zero mode).
+    """
+    k = m_matrix.shape[0]
+    d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]])
+    chol = scipy.linalg.cholesky(d, lower=True)
+    sigma_chol = chol.copy()
+    sigma_chol[k:] *= -1.0
+    w = chol.conj().T @ sigma_chol
+    upper = [k, 2 * k - 1]
+    if vectors:
+        energies, y = scipy.linalg.eigh(w, subset_by_index=upper)
+    else:
+        energies = scipy.linalg.eigh(w, eigvals_only=True, subset_by_index=upper)
+    if energies[0] <= 0.0:
+        # Sylvester's law rules this out unless D is numerically singular.
+        raise scipy.linalg.LinAlgError("D is not numerically positive definite")
+    if not vectors:
+        return energies
+    t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
+    lead = t[np.argmax(np.abs(t[:k]), axis=0), np.arange(k)]
+    t /= lead / np.abs(lead)
+    return energies, t[:k], t[k:]
+
+
 def _bdg_eigensystem(m_matrix: np.ndarray, g_matrix: np.ndarray):
     """All eigenpairs of [[M, G], [-G*, -M*]] with their symplectic norms."""
     k = m_matrix.shape[0]
@@ -201,44 +250,17 @@ def _bdg_eigensystem(m_matrix: np.ndarray, g_matrix: np.ndarray):
     return eigvals, u, v, norms / total
 
 
-def _symplectic_reorthonormalize(u: np.ndarray, v: np.ndarray, energies: np.ndarray):
-    """B-orthonormalize degenerate clusters (B = u^H u' - v^H v')."""
-    k = u.shape[1]
-    order = np.argsort(energies.real)
-    u, v, energies = u[:, order], v[:, order], energies[order]
-    start = 0
-    while start < k:
-        stop = start + 1
-        scale = max(1.0, abs(energies[start].real))
-        while stop < k and abs(energies[stop].real - energies[start].real) < 1e-8 * scale:
-            stop += 1
-        if stop - start > 1:
-            uu = u[:, start:stop]
-            vv = v[:, start:stop]
-            gram = uu.conj().T @ uu - vv.conj().T @ vv
-            gram = 0.5 * (gram + gram.conj().T)
-            try:
-                chol = scipy.linalg.cholesky(gram, lower=True)
-                inv = scipy.linalg.inv(chol.conj().T)
-                u[:, start:stop] = uu @ inv
-                v[:, start:stop] = vv @ inv
-            except scipy.linalg.LinAlgError:
-                pass  # cluster not positive definite; leave as-is
-        start = stop
-    return u, v, energies
+def _anomalous_branch(m_matrix: np.ndarray, g_matrix: np.ndarray):
+    """K eigenpairs of sigma D by the general ``eig`` when D is not definite.
 
-
-def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
-    """Positive-norm quasiparticle branch of the quadratic Hamiltonian.
-
-    Complex eigenvalues signal dynamical instability: the spectrum is
-    still returned (real parts, Euclidean-normalized vectors) with
-    ``stable = False`` and an explanatory anomaly entry.
+    Keeps the positive-norm eigenpairs, normalized to u^H u - v^H v = 1,
+    and fills the remaining slots from the null-norm subspace, one
+    representative per complex-conjugate pair.  Returns the real parts
+    of the K eigenvalues, u, v, the anomaly notes and whether any
+    eigenvalue of sigma D is complex.
     """
-    k = qh.n_modes
-    if basis.K != k:
-        raise DimensionMismatchError("basis size does not match Hamiltonian")
-    eigvals, u, v, rel_norms = _bdg_eigensystem(qh.m_matrix, qh.g_matrix)
+    k = m_matrix.shape[0]
+    eigvals, u, v, rel_norms = _bdg_eigensystem(m_matrix, g_matrix)
 
     anomalies: list[str] = []
     complex_mask = np.abs(eigvals.imag) > REALITY_TOLERANCE
@@ -256,7 +278,6 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
     sigma = np.sum(np.abs(sel_u) ** 2, axis=0) - np.sum(np.abs(sel_v) ** 2, axis=0)
     sel_u /= np.sqrt(sigma)
     sel_v /= np.sqrt(sigma)
-    sel_u, sel_v, sel_e = _symplectic_reorthonormalize(sel_u, sel_v, sel_e)
 
     if sel_e.shape[0] < k:
         # Null-norm pairs (complex-frequency or Goldstone-like); keep one
@@ -283,12 +304,35 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
         sel_u = np.hstack([sel_u, extra_u / scale])
         sel_v = np.hstack([sel_v, extra_v / scale])
         sel_e = np.concatenate([sel_e, eigvals[picked]])
-        order = np.argsort(sel_e.real)
-        sel_u, sel_v, sel_e = sel_u[:, order], sel_v[:, order], sel_e[order]
 
-    energies = sel_e.real.copy()
-    c_matrix = sel_u
-    s_matrix = sel_v.conj()
+    order = np.argsort(sel_e.real)
+    return sel_e.real[order], sel_u[:, order], sel_v[:, order], anomalies, has_complex
+
+
+def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
+    """Positive-norm quasiparticle branch of the quadratic Hamiltonian.
+
+    A stable Hamiltonian (D = [[M, G], [G*, M*]] positive definite) is
+    solved by Colpa's method: one Cholesky factorization and one Hermitian
+    ``eigh``, whose upper K eigenpairs give the energies and exactly
+    symplectic columns.  Only when the Cholesky factorization fails (a
+    complex frequency, a negative energy or a zero mode) does the general
+    ``eig`` of sigma D run; the spectrum is then still returned (real
+    parts, Euclidean-normalized null-norm vectors) with ``stable = False``
+    when an energy is complex or negative, and an explanatory anomaly
+    entry.
+    """
+    k = qh.n_modes
+    if basis.K != k:
+        raise DimensionMismatchError("basis size does not match Hamiltonian")
+    try:
+        energies, u, v = _colpa(qh.m_matrix, qh.g_matrix)
+        has_complex, anomalies = False, []
+    except scipy.linalg.LinAlgError:
+        energies, u, v, anomalies, has_complex = _anomalous_branch(qh.m_matrix, qh.g_matrix)
+
+    c_matrix = u
+    s_matrix = v.conj()
 
     phi = basis.mode_matrix
     p_stack = c_matrix.T @ phi
@@ -329,7 +373,12 @@ def check_stability(spectrum: QuasiparticleSpectrum) -> StabilityReport:
 
 
 def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
-    """Energy omega_g + sum_m n_m eps_m for given quasiparticle occupations."""
+    """Energy omega_g + sum_m n_m eps_m for given quasiparticle occupations.
+
+    The energies come from the eigenvalues of Colpa's Hermitian matrix
+    alone.  Raises ``InstabilityError`` when D is not positive definite,
+    since the quasiparticle occupations are then not defined.
+    """
     occ = np.asarray(occupations, dtype=float)
     if occ.shape != (qh.n_modes,):
         raise DimensionMismatchError(
@@ -337,10 +386,12 @@ def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
         )
     if np.any(occ < 0):
         raise ConfigurationError("occupations must be non-negative")
-    eigvals, _, _, rel_norms = _bdg_eigensystem(qh.m_matrix, qh.g_matrix)
-    pos = np.flatnonzero(rel_norms > POSITIVE_NORM_THRESHOLD)
-    energies = np.sort(eigvals[pos].real)
-    if energies.shape[0] != qh.n_modes:
-        energies = np.sort(eigvals.real)[qh.n_modes :]  # fallback: upper half
+    try:
+        energies = _colpa(qh.m_matrix, qh.g_matrix, vectors=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise InstabilityError(
+            "quadratic Hamiltonian is not positive definite (complex, negative "
+            "or zero quasiparticle energy); the excitation energies are undefined"
+        ) from exc
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
     return omega_g + float(occ @ energies)

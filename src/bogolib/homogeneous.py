@@ -15,7 +15,6 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from ._fock_kernels import assemble_dense
 from .errors import ConfigurationError, ResourceError
 
 MAX_FOCK_STATES = 200_000
@@ -120,6 +119,29 @@ def _enumerate_states(n_particles: int, cap: int) -> np.ndarray:
     return np.asarray(states, dtype=np.int64)
 
 
+def _sector_states(n_particles: int, cap: int, s: int) -> np.ndarray:
+    """States (n0, n+, n-) of momentum sector s = n+ - n-, ordered by j = min(n+, n-)."""
+    j = np.arange((cap - abs(s)) // 2 + 1, dtype=np.int64)
+    n_plus = j + max(s, 0)
+    n_minus = j + max(-s, 0)
+    return np.column_stack([n_particles - n_plus - n_minus, n_plus, n_minus])
+
+
+def _chain_entries(states: np.ndarray, omega_k: float, g2: float):
+    """Diagonal d and first off-diagonal e of one sector's chain.
+
+    The kinetic and density-density terms are diagonal; the pair exchange
+    a0^dag a0^dag a+ a- and its conjugate link j to j - 1 only.
+    """
+    n0, npl, nmi = states.T.astype(np.float64)
+    d = omega_k * (npl + nmi) + g2 * (
+        n0 * (n0 - 1) + npl * (npl - 1) + nmi * (nmi - 1)
+        + 4.0 * (n0 * npl + n0 * nmi + npl * nmi)
+    )
+    e = 2.0 * g2 * np.sqrt((n0[1:] + 1.0) * (n0[1:] + 2.0) * npl[1:] * nmi[1:])
+    return d, e
+
+
 def exact_fock_spectrum(
     n_particles: int,
     k_mode: float,
@@ -134,7 +156,10 @@ def exact_fock_spectrum(
     mode and split into momentum sectors s = n+ - n-, which the
     Hamiltonian does not couple.  Interaction terms carry the coupling
     u / (2 * volume) with every momentum-conserving quartic term inside
-    the three-mode truncation retained.
+    the three-mode truncation retained.  Within a sector the states form
+    a chain in j = min(n+, n-): the kinetic and density-density terms are
+    diagonal and the pair exchange links j only to j +- 1, so each sector
+    is a symmetric tridiagonal matrix solved by ``eigvalsh_tridiagonal``.
     """
     if n_particles < 1 or n_particles > 60:
         raise ConfigurationError("n_particles must be in 1..60")
@@ -146,23 +171,22 @@ def exact_fock_spectrum(
         raise ConfigurationError("u must be non-negative")
 
     cap = n_max_excited
-    states = _enumerate_states(n_particles, cap)
-    if states.shape[0] > MAX_FOCK_STATES:
+    sectors = range(-cap, cap + 1)
+    dimension = sum((cap - abs(s)) // 2 + 1 for s in sectors)
+    if dimension > MAX_FOCK_STATES:
         raise ResourceError(
-            f"Fock basis has {states.shape[0]} states (limit {MAX_FOCK_STATES})"
+            f"Fock basis has {dimension} states (limit {MAX_FOCK_STATES})"
         )
 
     omega_k = 0.5 * k_mode * k_mode
     g2 = u / (2.0 * volume)
 
-    sectors = states[:, 1] - states[:, 2]
     sector_minima = {}
     all_eigs = []
-    for s in np.unique(sectors):
-        block_states = states[sectors == s]
-        h = assemble_dense(block_states, cap, omega_k, g2)
-        eigs = scipy.linalg.eigvalsh(h)
-        sector_minima[int(s)] = float(eigs[0])
+    for s in sectors:
+        d, e = _chain_entries(_sector_states(n_particles, cap, s), omega_k, g2)
+        eigs = scipy.linalg.eigvalsh_tridiagonal(d, e) if e.size else d
+        sector_minima[s] = float(eigs[0])
         all_eigs.append(eigs)
     all_eigs = np.sort(np.concatenate(all_eigs))
 
@@ -178,7 +202,7 @@ def exact_fock_spectrum(
         u=float(u),
         ground_energy=float(ground),
         gaps=excitations[:n_gaps].copy(),
-        dimension=int(states.shape[0]),
+        dimension=int(dimension),
         volume=float(volume),
         n_max_excited=int(n_max_excited),
         first_gap=first_gap,
@@ -189,7 +213,7 @@ def exact_fock_spectrum(
 def fock_hamiltonian_reference(
     states: np.ndarray, omega_k: float, g2: float
 ) -> np.ndarray:
-    """Readable term-by-term assembly used to cross-check the kernels.
+    """Readable term-by-term assembly used to cross-check the sector chains.
 
     Applies every ordered momentum-conserving quartic term
     a^dag_{i1} a^dag_{i2} a_{i3} a_{i4} over the three modes, plus the

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+import bogolib.bdg as bdg
 from bogolib.bdg import (
     PhononBasis,
     QuadraticHamiltonian,
@@ -11,12 +13,19 @@ from bogolib.bdg import (
     h3_expectation,
     plane_wave_basis,
 )
-from bogolib.errors import ConfigurationError, DimensionMismatchError
+from bogolib.errors import ConfigurationError, DimensionMismatchError, InstabilityError
 from bogolib.gpe import solve_stationary, zero_potential
 from bogolib.grid import ComplexField, build_grid, inner_product, kinetic_matrix, orthonormalize
 from bogolib.homogeneous import bogoliubov_dispersion
 
 TWO_PI = 2.0 * np.pi
+
+# (M, G) of TestStability's synthetic Hamiltonians: a negative energy and
+# a pair of complex frequencies +-i sqrt(3).
+_INDEFINITE = (
+    (np.diag([-1.0, 2.0]).astype(complex), np.zeros((2, 2), dtype=complex)),
+    (np.diag([1.0, 1.0]).astype(complex), np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)),
+)
 
 
 def uniform_dispersion_table(u_tilde, length, n_pairs):
@@ -140,19 +149,41 @@ class TestDiagonalize:
         expected = uniform_dispersion_table(2.0, uniform_grid.length, 8)
         assert np.max(np.abs(spec.energies - expected) / expected) < 1e-8
 
-    def test_symplectic_invariants(self, trap_states):
-        state = trap_states[10.0]
-        basis = build_phonon_basis(state, 32)
-        spec = diagonalize(assemble(state, basis), basis)
-        c, s = spec.c_matrix, spec.s_matrix
-        sym = c.conj().T @ c - s.conj().T @ s
-        assert np.max(np.abs(sym - np.eye(32))) < 1e-9
-        # Position-space statement of the normalization.
-        grid = state.grid
-        for p, q in zip(spec.p_waves, spec.q_waves):
-            pn = np.vdot(p.values, p.values).real * grid.dx
-            qn = np.vdot(q.values, q.values).real * grid.dx
-            assert pn - qn == pytest.approx(1.0, abs=1e-9)
+    def test_symplectic_invariants(self, trap_states, uniform_state):
+        # The uniform eigen-basis has degenerate +-k pairs, which must come
+        # out symplectically orthonormal as well.
+        for state, k in ((trap_states[10.0], 32), (uniform_state, 16)):
+            basis = build_phonon_basis(state, k)
+            spec = diagonalize(assemble(state, basis), basis)
+            c, s = spec.c_matrix, spec.s_matrix
+            sym = c.conj().T @ c - s.conj().T @ s
+            assert np.max(np.abs(sym - np.eye(k))) < 1e-9
+            # Position-space statement of the normalization.
+            grid = state.grid
+            for p, q in zip(spec.p_waves, spec.q_waves):
+                pn = np.vdot(p.values, p.values).real * grid.dx
+                qn = np.vdot(q.values, q.values).real * grid.dx
+                assert pn - qn == pytest.approx(1.0, abs=1e-9)
+
+    def test_general_eig_only_for_indefinite_hamiltonians(self, trap_states, uniform_state, monkeypatch):
+        calls = []
+        real_eig = scipy.linalg.eig
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real_eig(*args, **kwargs)
+
+        monkeypatch.setattr(bdg.scipy.linalg, "eig", spy)
+        for state, k in ((trap_states[10.0], 32), (uniform_state, 16)):
+            basis = build_phonon_basis(state, k)
+            qh = assemble(state, basis)
+            diagonalize(qh, basis)
+            h3_expectation(qh, np.zeros(k))
+        assert calls == []
+        basis = plane_wave_basis(uniform_state, 2)
+        for m, g in _INDEFINITE:
+            diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g, mu=0.0), basis)
+        assert len(calls) == len(_INDEFINITE)
 
     def test_completeness_reconstruction(self, trap_states):
         # Inverting the transformation must reproduce the inputs:
@@ -270,6 +301,12 @@ class TestH3Expectation:
         occ[0] = 1.0
         expected = spec.omega_g + bogoliubov_dispersion(TWO_PI / uniform_grid.length, 2.0, uniform_grid.length)
         assert h3_expectation(qh, occ) == pytest.approx(expected, abs=1e-9)
+
+    def test_indefinite_hamiltonian_raises(self):
+        for m, g in _INDEFINITE:
+            qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g, mu=0.0)
+            with pytest.raises(InstabilityError, match="not positive definite"):
+                h3_expectation(qh, np.zeros(2))
 
     def test_length_mismatch(self, uniform_state):
         basis = plane_wave_basis(uniform_state, 4)

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +66,9 @@ n_max_excited = 20
 [output]
 directory = {outdir}
 """
+
+
+SHIPPED_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
 
 
 def write_config(tmp_path, text, name="config.ini", **fmt):
@@ -282,3 +286,15 @@ def test_console_script_installed():
     # argparse --help exits 0 and prints the subcommands
     assert proc.returncode == 0
     assert "run" in proc.stdout and "validate" in proc.stdout
+
+
+class TestShippedConfigs:
+    def test_all_six_found(self):
+        assert len(SHIPPED_CONFIGS) == 6
+
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS, ids=lambda p: p.stem)
+    def test_runs(self, config, tmp_path, monkeypatch):
+        outdir = tmp_path / config.stem
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+        assert main(["run", str(config)]) == 0
+        assert (outdir / "summary.json").exists()

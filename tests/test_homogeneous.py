@@ -4,18 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bogolib.homogeneous as homogeneous
-from bogolib._fock_kernels import (
-    NUMBA_AVAILABLE,
-    assemble_dense,
-    build_index_map,
-    numba_enabled,
-)
 from bogolib.bdg import assemble, diagonalize, plane_wave_basis
 from bogolib.errors import ConfigurationError, ResourceError
 from bogolib.gpe import solve_stationary, zero_potential
 from bogolib.grid import build_grid
 from bogolib.homogeneous import (
+    _chain_entries,
     _enumerate_states,
+    _sector_states,
     bogoliubov_dispersion,
     compare_asymptotics,
     exact_fock_spectrum,
@@ -136,22 +132,47 @@ class TestFockOracle:
         assert np.all(states.sum(axis=1) == 12)
         assert np.all(states >= 0)
 
-    def test_kernel_matches_reference(self):
-        states = _enumerate_states(6, 6)
-        fast = assemble_dense(states, 6, 0.5, 0.15)
-        ref = fock_hamiltonian_reference(states, 0.5, 0.15)
-        assert np.max(np.abs(fast - ref)) < 1e-12
+    def test_reference_sectors_are_tridiagonal_chains(self):
+        # Restricted to one momentum sector and ordered by j = min(n+, n-),
+        # the term-by-term Hamiltonian is exactly tridiagonal and equals
+        # the chain (d, e) that exact_fock_spectrum diagonalizes.
+        for n_particles, cap, omega_k, g2 in ((6, 6, 0.5, 0.15), (13, 9, 2.0, 0.07), (20, 20, 0.5, 1.3)):
+            states = _enumerate_states(n_particles, cap)
+            ref = fock_hamiltonian_reference(states, omega_k, g2)
+            row = {tuple(st): i for i, st in enumerate(states)}
+            for s in range(-cap, cap + 1):
+                chain = _sector_states(n_particles, cap, s)
+                idx = [row[tuple(st)] for st in chain]
+                block = ref[np.ix_(idx, idx)]
+                assert np.all(np.triu(block, 2) == 0.0)
+                assert np.all(np.tril(block, -2) == 0.0)
+                d, e = _chain_entries(chain, omega_k, g2)
+                assert np.max(np.abs(np.diag(block) - d)) < 1e-12
+                if e.size:
+                    assert np.max(np.abs(np.diag(block, 1) - e)) < 1e-12
+                    assert np.max(np.abs(np.diag(block, -1) - e)) < 1e-12
 
-    def test_numpy_fallback_matches_jit(self, monkeypatch):
-        states = _enumerate_states(8, 8)
-        default = assemble_dense(states, 8, 0.5, 0.07)
-        monkeypatch.setenv("BOGOLIB_DISABLE_NUMBA", "1")
-        assert not numba_enabled()
-        fallback = assemble_dense(states, 8, 0.5, 0.07)
-        assert np.array_equal(default, fallback) or np.max(np.abs(default - fallback)) < 1e-14
-        monkeypatch.delenv("BOGOLIB_DISABLE_NUMBA")
-        if NUMBA_AVAILABLE:
-            assert numba_enabled()
+    @pytest.mark.parametrize(
+        "n_particles, cap, u",
+        [(2, 2, 0.3), (7, 3, 1.0 / 7), (10, 10, 5.0), (20, 10, 0.3), (40, 40, 1.0 / 40)],
+    )
+    def test_chain_spectrum_matches_dense_reference(self, n_particles, cap, u):
+        spec = exact_fock_spectrum(n_particles, 1.0, u, 1.0, cap)
+        states = _enumerate_states(n_particles, cap)
+        ref = fock_hamiltonian_reference(states, 0.5, u / 2.0)
+        sectors = states[:, 1] - states[:, 2]
+        dense = {}
+        for s in np.unique(sectors):
+            block = ref[np.ix_(sectors == s, sectors == s)]
+            dense[int(s)] = np.linalg.eigvalsh(block)
+        assert spec.dimension == states.shape[0]
+        assert spec.sector_minima.keys() == dense.keys()
+        for s, eigs in dense.items():
+            assert spec.sector_minima[s] == pytest.approx(eigs[0], rel=1e-12, abs=1e-12)
+        all_eigs = np.sort(np.concatenate(list(dense.values())))
+        gaps = all_eigs - dense[0][0]
+        gaps = gaps[gaps > 1e-12][: spec.gaps.size]
+        np.testing.assert_allclose(spec.gaps, gaps, rtol=1e-12, atol=1e-12)
 
     def test_number_conservation_offblock_zero(self):
         assert number_conservation_offblock(8, 1.0, 0.2, 1.0, 8) == 0.0
@@ -216,7 +237,13 @@ class TestFockOracle:
             compare_asymptotics(spec, 2.0)
 
     def test_index_map_roundtrip(self):
+        # Every basis state sits in exactly one sector chain, at position
+        # j = min(n+, n-) of sector s = n+ - n-.
         states = _enumerate_states(9, 5)
-        index_map = build_index_map(states, 5)
-        for i, (n0, npl, nmi) in enumerate(states):
-            assert index_map[npl, nmi] == i
+        chained = {}
+        for s in range(-5, 6):
+            for j, st in enumerate(_sector_states(9, 5, s)):
+                assert st[1] - st[2] == s and min(st[1], st[2]) == j
+                chained[tuple(st)] = (s, j)
+        assert set(chained) == {tuple(st) for st in states}
+        assert len(chained) == states.shape[0]
