@@ -87,7 +87,6 @@ from .tdgpe import (
     mu_from_rate,
     mu_of_t,
     propagate,
-    propagate_modes,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

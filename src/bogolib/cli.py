@@ -46,7 +46,6 @@ from .tdgpe import (
     hr_diagnostic,
     mu_from_rate,
     propagate,
-    propagate_modes,
     trajectory_xi_dot,
 )
 
@@ -473,6 +472,7 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
     potential_of_t = None
     if pot_spec[0] == "quench":
         potential_of_t = TrapQuench(grid, pot_spec[1], pot_spec[2], pot_spec[3])
+    basis = build_phonon_basis(state, _default_k_modes(config, grid))
     traj = propagate(
         state,
         t_final=num["t_final"],
@@ -480,22 +480,13 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
         potential_of_t=potential_of_t,
         stride=config["output"]["stride"],
         evolution=num["evolution"],
+        basis=basis,
     )
-    K = _default_k_modes(config, grid)
-    basis = build_phonon_basis(state, K)
-    traj = propagate_modes(traj, basis)
     diagnostics = hr_diagnostic(traj)
 
     rows = []
-    gram_devs, overlaps = [], []
     mu_rate_dev = 0.0
-    eye = np.eye(K)
     for i, t in enumerate(traj.times):
-        phi = traj.modes_t[i].mode_matrix
-        gram_dev = float(np.max(np.abs(phi.conj() @ phi.T * grid.dx - eye)))
-        overlap = float(np.max(np.abs(phi.conj() @ traj.xi_t[i].values * grid.dx)))
-        gram_devs.append(gram_dev)
-        overlaps.append(overlap)
         mu_rate = mu_from_rate(traj.xi_t[i], trajectory_xi_dot(traj, i))
         mu_rate_dev = max(mu_rate_dev, abs(mu_rate - traj.mu_t[i]))
         rows.append(
@@ -507,8 +498,8 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
                 mu_rate,
                 center_of_mass(traj.xi_t[i]),
                 diagnostics[i].mismatch,
-                gram_dev,
-                overlap,
+                float(traj.gram_t[i]),
+                float(traj.overlap_t[i]),
             ]
         )
     out.csv(
@@ -533,8 +524,8 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
         "max_norm_drift": float(np.max(np.abs(traj.norm_t - 1.0))),
         "max_h1_drift": float(np.max(np.abs(traj.h1_t - traj.h1_t[0]))),
         "max_mismatch": float(max(d.mismatch for d in diagnostics)),
-        "max_gram_deviation": float(max(gram_devs)),
-        "max_condensate_overlap": float(max(overlaps)),
+        "max_gram_deviation": float(np.max(traj.gram_t)),
+        "max_condensate_overlap": float(np.max(traj.overlap_t)),
         "max_mu_form_deviation": float(mu_rate_dev),
         "evolution": num["evolution"],
     }

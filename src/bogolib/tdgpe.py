@@ -10,13 +10,14 @@ Mode functions ride along via
 
     dxi_k/dt = xi_k <xi, dxi/dt> - xi <dxi/dt, xi_k>,
 
-integrated with an explicit second-order (Heun) step synchronized to the
-condensate steps, the time derivative taken from the evolution's own
-right-hand side.  The right-hand side is linear in the modes, so the two
-Heun stages fold into closed form: one scale of the (K, n) mode matrix
-plus a rank-2 update along xi(t) and xi(t + dt).  This keeps the mode
-set orthonormal and orthogonal to the condensate up to integrator error,
-which is tracked, not repaired.
+which parallel-transports the complement of xi, times the common phase
+exp(int <xi, dxi/dt> dt).  Each split step xi(t) -> xi(t + dt) moves the
+modes by the rank-1 unitary map that carries the complement of xi(t)
+exactly onto that of xi(t + dt) (the parallel-transport gauge of Jia,
+An, Wang & Lin, J. Chem. Theory Comput. 14, 5645 (2018)).  It needs only
+the two condensate values, no right-hand side, and is second order in
+dt.  Orthonormality and orthogonality to the condensate hold to
+round-off; both are measured at every snapshot, not repaired.
 
 The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
@@ -29,7 +30,7 @@ numerical motion rather than an algebraic identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -124,6 +125,9 @@ class Trajectory:
     # per snapshot, (offsets in units of dt, list of value arrays).
     stencils: list = field(default=None, repr=False)
     modes_t: list[PhononBasis] | None = None
+    # Per snapshot: max |Gram - I| of the modes and max |<xi_k, xi>|.
+    gram_t: np.ndarray | None = None
+    overlap_t: np.ndarray | None = None
     h3_t: list[QuadraticHamiltonian] | None = None
 
     @property
@@ -173,32 +177,31 @@ def _stepper(grid: Grid1D, dt: float, u_eff: float, potential_of_t):
     return step
 
 
-def _resolve_potential(initial: CondensateState, potential_of_t):
-    if potential_of_t is None:
-        return StaticPotential(initial.potential.values.real.copy())
-    return potential_of_t
+def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -> complex:
+    """Carry the rows of phi from the complement of psi0 to that of psi1, in place.
 
-
-def propagate(
-    initial: CondensateState,
-    t_final: float,
-    dt: float,
-    potential_of_t=None,
-    stride: int = 10,
-    evolution: str = "gpe",
-) -> Trajectory:
-    """Second-order split-step evolution with snapshot diagnostics.
-
-    ``evolution="linear"`` drops the nonlinear term from the stepping
-    while keeping the physical u_tilde in the trajectory metadata -- the
-    deliberately wrong motion used to show the expansion's validity
-    condition is necessary.
-
-    Raises
-    ------
-    IntegratorError
-        If the norm drifts beyond 1e-6 at any stored time.
+    With e0, e1 the normalized psi0, psi1, a = <e0, e1> and s w = e1 - a e0
+    (||w|| = 1), the rank-1 map phi -> phi + <w, phi> ((|a| - 1) w - s (a/|a|) e0)
+    is unitary and sends w to a vector orthogonal to e1; when s = 0 (a step
+    that only multiplies xi by a phase) phi stays.  The common phase a/|a|
+    is returned, not applied, so the caller keeps it as one scalar.
+    Normalizing first matters: a norm error of order eps in psi0 or psi1,
+    divided by s ~ dt, would tilt w toward e0.
     """
+    e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
+    e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
+    a = np.vdot(e0, e1) * dx
+    r = e1 - a * e0
+    s = np.sqrt(np.vdot(r, r).real * dx)
+    phase = a / abs(a)
+    if s > 0.0:
+        w = r / s
+        phi += np.outer(phi @ w.conj() * dx, (abs(a) - 1.0) * w - s * phase * e0)
+    return phase
+
+
+def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution, basis):
+    """The stepping loop behind ``propagate`` and ``propagate_modes``."""
     if dt <= 0:
         raise ConfigurationError("dt must be positive")
     if evolution not in EVOLUTIONS:
@@ -208,153 +211,129 @@ def propagate(
         raise ConfigurationError("t_final must be a multiple of dt (and >= 5 steps)")
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
-
-    grid = initial.grid
-    pot = _resolve_potential(initial, potential_of_t)
-    u_eff = initial.u_tilde if evolution == "gpe" else 0.0
-    step = _stepper(grid, dt, u_eff, pot)
+    dx = grid.dx
+    if basis is not None:
+        if basis.grid.n_points != grid.n_points:
+            raise DimensionMismatchError("basis grid does not match trajectory")
+        phi = basis.mode_matrix.astype(np.complex128)
+        if np.max(np.abs(phi.conj() @ phi.T * dx - np.eye(basis.K))) > 1e-8:
+            raise ConfigurationError("initial basis is not orthonormal")
+        if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
+            raise ConfigurationError("initial basis is not orthogonal to the condensate")
+        phase = 1.0
+    step = _stepper(grid, dt, u_tilde if evolution == "gpe" else 0.0, pot)
 
     snapshot_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
     # Fine-step window [lo, lo+4] carrying each snapshot's derivative stencil.
     stencil_lo = {j: min(max(j - 2, 0), n_steps - 4) for j in snapshot_steps}
-    needed_states = sorted({lo + i for lo in stencil_lo.values() for i in range(5)})
-    needed_set = set(needed_states) | set(snapshot_steps)
+    needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
     states: dict[int, np.ndarray] = {}
-    psi = initial.xi.values.copy()
-    if 0 in needed_set:
-        states[0] = psi.copy()
-    for j in range(1, n_steps + 1):
-        psi = step(psi, (j - 1) * dt)
-        if j in needed_set:
+    xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t = [], [], [], [], [], [], []
+    psi = xi0.copy()
+    for j in range(n_steps + 1):
+        if j > 0:
+            psi_prev, psi = psi, step(psi, (j - 1) * dt)
+            if basis is not None:
+                phase *= _transport(phi, psi_prev, psi, dx)
+        if j in needed:
             states[j] = psi.copy()
-
-    times = np.array([j * dt for j in snapshot_steps])
-    xi_t, mu_t, h1_t, norm_t, stencils = [], [], [], [], []
-    for j in snapshot_steps:
-        values = states[j]
+        if j not in stencil_lo:
+            continue
         t = j * dt
-        xi_t.append(ComplexField(values, grid))
-        mu, h1, _ = _quadrature_mu_h1(grid, pot(t), initial.u_tilde, values)
+        xi = ComplexField(states[j], grid)
+        nrm = float(np.sqrt(np.vdot(psi, psi).real * dx))
+        if abs(nrm - 1.0) > 1e-6:
+            raise IntegratorError(f"norm drifted to {nrm} at t = {t}; reduce dt")
+        mu, h1, _ = _quadrature_mu_h1(grid, pot(t), u_tilde, psi)
+        xi_t.append(xi)
         mu_t.append(mu)
         h1_t.append(h1)
-        nrm = float(np.sqrt(np.vdot(values, values).real * grid.dx))
         norm_t.append(nrm)
-        if abs(nrm - 1.0) > 1e-6:
-            raise IntegratorError(
-                f"norm drifted to {nrm} at t = {t}; reduce dt"
-            )
-        lo = stencil_lo[j]
-        offsets = np.arange(lo - j, lo - j + 5)
-        stencils.append((offsets, [states[lo + i] for i in range(5)]))
+        if basis is not None:
+            modes = phase * phi
+            gram_dev = float(np.max(np.abs(modes.conj() @ modes.T * dx - np.eye(basis.K))))
+            ovl = float(np.max(np.abs(modes.conj() @ psi * dx)))
+            if gram_dev > 1e-6 or ovl > 1e-6:
+                raise IntegratorError(
+                    f"mode orthonormality drift {gram_dev:.2e} / overlap {ovl:.2e} "
+                    f"at t = {t}; reduce dt"
+                )
+            fields = [ComplexField(row, grid) for row in modes]
+            modes_t.append(PhononBasis(modes=fields, condensate=xi, K=basis.K))
+            gram_t.append(gram_dev)
+            overlap_t.append(ovl)
 
+    stencils = [
+        (np.arange(lo - j, lo - j + 5), [states[lo + i] for i in range(5)])
+        for j, lo in stencil_lo.items()
+    ]
+    with_modes = basis is not None
     return Trajectory(
-        times=times,
+        times=np.array([j * dt for j in snapshot_steps]),
         xi_t=xi_t,
         mu_t=np.asarray(mu_t),
         h1_t=np.asarray(h1_t),
         norm_t=np.asarray(norm_t),
         grid=grid,
-        u_tilde=initial.u_tilde,
+        u_tilde=u_tilde,
         dt=dt,
         stride=stride,
         evolution=evolution,
         potential_of_t=pot,
-        n_particles=initial.n_particles,
+        n_particles=n_particles,
         stencils=stencils,
+        modes_t=modes_t if with_modes else None,
+        gram_t=np.asarray(gram_t) if with_modes else None,
+        overlap_t=np.asarray(overlap_t) if with_modes else None,
     )
 
 
-def _heun_mode_step(phi, psi, psi_dot, psi_next, psi_dot_next, dt, dx):
-    """One Heun step of dphi_k/dt = c phi_k - b_k psi in closed form.
+def propagate(
+    initial: CondensateState,
+    t_final: float,
+    dt: float,
+    potential_of_t=None,
+    stride: int = 10,
+    evolution: str = "gpe",
+    basis: PhononBasis | None = None,
+) -> Trajectory:
+    """Second-order split-step evolution with snapshot diagnostics.
 
-    With c = <psi, psi_dot> dx and b = phi psi_dot^* dx, the two stages
-    k1 = c1 phi - b1 psi and k2 = c2 (phi + dt k1) - b2 psi_next fold into
+    ``evolution="linear"`` drops the nonlinear term from the stepping
+    while keeping the physical u_tilde in the trajectory metadata -- the
+    deliberately wrong motion used to show the expansion's validity
+    condition is necessary.
 
-        phi + dt/2 (k1 + k2) = a phi - (dt/2)(1 + dt c2) b1 psi - (dt/2) b2 psi_next,
-
-    a = 1 + dt/2 (c1 + c2 (1 + dt c1)), where b2 = (phi + dt k1) psi_dot_next^* dx
-    = (1 + dt c1) phi psi_dot_next^* dx - dt b1 (psi . psi_dot_next^*) dx.
-    That is one scale of phi plus a (K, 2) by (2, n) product, with no
-    (K, n) stage temporaries.
-    """
-    c1 = np.vdot(psi, psi_dot) * dx
-    c2 = np.vdot(psi_next, psi_dot_next) * dx
-    b12 = phi @ np.conj(np.stack((psi_dot, psi_dot_next), axis=1)) * dx
-    b1 = b12[:, 0]
-    b2 = (1.0 + dt * c1) * b12[:, 1] - dt * b1 * (np.vdot(psi_dot_next, psi) * dx)
-    coeffs = np.stack((-0.5 * dt * (1.0 + dt * c2) * b1, -0.5 * dt * b2), axis=1)
-    a = 1.0 + 0.5 * dt * (c1 + c2 * (1.0 + dt * c1))
-    return a * phi + coeffs @ np.stack((psi, psi_next))
-
-
-def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
-    """Fill the trajectory with co-evolved mode-function snapshots.
-
-    Re-runs the condensate stepping (bit-identical to ``propagate``) and
-    advances the K mode functions with a Heun step driven by the
-    condensate's equation-of-motion right-hand side.
+    With a ``basis`` (orthonormal modes orthogonal to the initial
+    condensate), each split step also parallel-transports the modes; the
+    trajectory then carries their snapshots (``modes_t``) and, per
+    snapshot, the Gram deviation (``gram_t``) and the condensate overlap
+    (``overlap_t``).  The condensate snapshots do not depend on ``basis``.
 
     Raises
     ------
+    ConfigurationError
+        If the basis is not orthonormal or not orthogonal to the condensate.
     IntegratorError
-        If mode orthonormality or condensate overlap drifts beyond 1e-6
-        at a stored time.
+        If the norm, the mode orthonormality or the mode-condensate overlap
+        drifts beyond 1e-6 at any stored time.
     """
-    grid = traj.grid
-    if initial_basis.grid.n_points != grid.n_points:
-        raise DimensionMismatchError("basis grid does not match trajectory")
-    xi0 = traj.xi_t[0]
-    gram0 = initial_basis.mode_matrix.conj() @ initial_basis.mode_matrix.T * grid.dx
-    if np.max(np.abs(gram0 - np.eye(initial_basis.K))) > 1e-8:
-        raise ConfigurationError("initial basis is not orthonormal")
-    overlap0 = initial_basis.mode_matrix.conj() @ xi0.values * grid.dx
-    if np.max(np.abs(overlap0)) > 1e-8:
-        raise ConfigurationError("initial basis is not orthogonal to the condensate")
+    if potential_of_t is None:
+        potential_of_t = StaticPotential(initial.potential.values.real.copy())
+    return _evolve(initial.xi.values, initial.grid, initial.u_tilde, initial.n_particles,
+                   potential_of_t, t_final, dt, stride, evolution, basis)
 
-    u_eff = traj.u_tilde if traj.evolution == "gpe" else 0.0
-    pot = traj.potential_of_t
-    step = _stepper(grid, traj.dt, u_eff, pot)
-    dt = traj.dt
-    dx = grid.dx
-    n_steps = int(round(traj.times[-1] / dt))
-    snapshot_steps = {int(round(t / dt)): i for i, t in enumerate(traj.times)}
 
-    def rhs(values, t):
-        return -1j * apply_gp_operator(grid, pot(t), u_eff, values)
+def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
+    """``traj`` re-run from its own inputs with ``basis=initial_basis``.
 
-    phi = initial_basis.mode_matrix.astype(np.complex128).copy()
-    psi = xi0.values.copy()
-    psi_dot = rhs(psi, 0.0)
-    modes_t: list[PhononBasis | None] = [None] * len(traj.times)
-
-    def record(step_index, phi_now):
-        idx = snapshot_steps[step_index]
-        xi_here = traj.xi_t[idx]
-        fields = [ComplexField(row.copy(), grid) for row in phi_now]
-        basis = PhononBasis(modes=fields, condensate=xi_here, K=initial_basis.K)
-        gram = phi_now.conj() @ phi_now.T * dx
-        gram_dev = np.max(np.abs(gram - np.eye(initial_basis.K)))
-        ovl = np.max(np.abs(phi_now.conj() @ xi_here.values * dx))
-        if gram_dev > 1e-6 or ovl > 1e-6:
-            raise IntegratorError(
-                f"mode orthonormality drift {gram_dev:.2e} / overlap {ovl:.2e} "
-                f"at t = {traj.times[idx]}; reduce dt"
-            )
-        modes_t[idx] = basis
-
-    if 0 in snapshot_steps:
-        record(0, phi)
-    for j in range(1, n_steps + 1):
-        t_prev = (j - 1) * dt
-        psi_next = step(psi, t_prev)
-        psi_dot_next = rhs(psi_next, j * dt)
-        phi = _heun_mode_step(phi, psi, psi_dot, psi_next, psi_dot_next, dt, dx)
-        psi, psi_dot = psi_next, psi_dot_next
-        if j in snapshot_steps:
-            record(j, phi)
-
-    return replace(traj, modes_t=modes_t)
+    The same as passing the basis to ``propagate`` in the first place: the
+    condensate snapshots come out bit-identical and the modes are filled in.
+    """
+    return _evolve(traj.xi_t[0].values, traj.grid, traj.u_tilde, traj.n_particles,
+                   traj.potential_of_t, traj.times[-1], traj.dt, traj.stride,
+                   traj.evolution, initial_basis)
 
 
 def mu_of_t(xi: ComplexField, potential, u_tilde: float) -> float:
@@ -383,7 +362,7 @@ def h3_of_t(traj: Trajectory, u_tilde: float | None = None) -> list[QuadraticHam
     The list is also stored on the trajectory (``traj.h3_t``).
     """
     if traj.modes_t is None:
-        raise ConfigurationError("trajectory has no mode functions; run propagate_modes")
+        raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
     u = traj.u_tilde if u_tilde is None else u_tilde
     out = []
     for i, t in enumerate(traj.times):
@@ -410,7 +389,7 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
     nonlinearity when it does not.
     """
     if traj.modes_t is None:
-        raise ConfigurationError("trajectory has no mode functions; run propagate_modes")
+        raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
     grid = traj.grid
     out = []
     for i, t in enumerate(traj.times):

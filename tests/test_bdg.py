@@ -7,6 +7,7 @@ from bogolib.bdg import (
     PhononBasis,
     QuadraticHamiltonian,
     assemble,
+    assemble_from_fields,
     build_phonon_basis,
     check_stability,
     diagonalize,
@@ -151,15 +152,32 @@ class TestDiagonalize:
 
     def test_symplectic_invariants(self, trap_states, uniform_state):
         # The uniform eigen-basis has degenerate +-k pairs, which must come
-        # out symplectically orthonormal as well.
-        for state, k in ((trap_states[10.0], 32), (uniform_state, 16)):
+        # out symplectically orthonormal as well.  The boosted trap state
+        # (xi and the modes times exp(0.7ix)) has a complex M, as the
+        # coefficients h3_of_t assembles along a trajectory do.
+        trap = trap_states[10.0]
+        boost = np.exp(0.7j * trap.grid.points)
+        boosted = PhononBasis(
+            modes=[ComplexField(m.values * boost, trap.grid) for m in build_phonon_basis(trap, 16).modes],
+            condensate=ComplexField(trap.xi.values * boost, trap.grid),
+            K=16,
+        )
+        boosted_qh = assemble_from_fields(
+            boosted.condensate.values, boosted, trap.potential.values, trap.u_tilde, trap.mu
+        )
+        assert np.max(np.abs(boosted_qh.m_matrix.imag)) > 0.1
+        cases = [(boosted_qh, boosted)]
+        for state, k in ((trap, 32), (uniform_state, 16)):
             basis = build_phonon_basis(state, k)
-            spec = diagonalize(assemble(state, basis), basis)
+            cases.append((assemble(state, basis), basis))
+        for qh, basis in cases:
+            spec = diagonalize(qh, basis)
             c, s = spec.c_matrix, spec.s_matrix
-            sym = c.conj().T @ c - s.conj().T @ s
-            assert np.max(np.abs(sym - np.eye(k))) < 1e-9
+            # With s = conj(v): u^H u - v^H v = c^H c - (s^H s)^T.
+            sym = c.conj().T @ c - (s.conj().T @ s).T
+            assert np.max(np.abs(sym - np.eye(basis.K))) < 1e-9
             # Position-space statement of the normalization.
-            grid = state.grid
+            grid = basis.grid
             for p, q in zip(spec.p_waves, spec.q_waves):
                 pn = np.vdot(p.values, p.values).real * grid.dx
                 qn = np.vdot(q.values, q.values).real * grid.dx

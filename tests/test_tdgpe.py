@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from bogolib import tdgpe
 from bogolib.bdg import PhononBasis, build_phonon_basis
 from bogolib.errors import ConfigurationError, IntegratorError
 from bogolib.gpe import CondensateState, apply_gp_operator, harmonic_potential, solve_stationary
-from bogolib.grid import ComplexField, inner_product, orthonormalize
+from bogolib.grid import ComplexField, build_grid, inner_product, orthonormalize
 from bogolib.tdgpe import (
     TrapQuench,
     TrapRamp,
@@ -31,9 +32,9 @@ def trap_state_u1(trap_grid):
 def quench_setup(trap_grid):
     state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=2.0)
     quench = TrapQuench(trap_grid, omega_from=1.0, omega_to=1.2, t_switch=0.0)
-    traj = propagate(state, t_final=1.0, dt=2e-4, potential_of_t=quench, stride=500)
     basis = build_phonon_basis(state, 24)
-    return propagate_modes(traj, basis), basis
+    traj = propagate(state, t_final=1.0, dt=2e-4, potential_of_t=quench, stride=500, basis=basis)
+    return traj, basis
 
 
 def displaced_gaussian_state(grid, x0):
@@ -58,11 +59,18 @@ def mode_diagnostics(traj):
         phi = traj.modes_t[i].mode_matrix
         gram_devs.append(np.max(np.abs(phi.conj() @ phi.T * grid.dx - np.eye(K))))
         overlaps.append(np.max(np.abs(phi.conj() @ traj.xi_t[i].values * grid.dx)))
+    # The trajectory's own per-snapshot record is the same measurement.
+    assert np.array_equal(traj.gram_t, gram_devs)
+    assert np.array_equal(traj.overlap_t, overlaps)
     return max(gram_devs), max(overlaps)
 
 
 def reference_mode_propagation(traj, basis):
-    """Two-stage Heun loop for the modes, re-stepping the condensate.
+    """Two-stage Heun loop for the paper's mode equation, re-stepping the condensate.
+
+    dxi_k/dt = xi_k <xi, dxi/dt> - xi <dxi/dt, xi_k>, with dxi/dt taken from
+    the evolution's right-hand side: an oracle independent of the library's
+    parallel transport, which never evaluates that right-hand side.
 
     Returns the condensate and mode matrix at every stored time.
     """
@@ -148,8 +156,7 @@ class TestPropagate:
 class TestPropagateModes:
     def test_stationary_modes_keep_modulus_and_gain_common_phase(self, trap_state_u1):
         basis = build_phonon_basis(trap_state_u1, 16)
-        traj = propagate(trap_state_u1, t_final=2.0, dt=2e-4, stride=2000)
-        traj = propagate_modes(traj, basis)
+        traj = propagate(trap_state_u1, t_final=2.0, dt=2e-4, stride=2000, basis=basis)
         last = traj.modes_t[-1].mode_matrix
         assert np.max(np.abs(np.abs(last) - np.abs(basis.mode_matrix))) < 1e-8
         # All modes rotate with the condensate phase exp(-i mu t).
@@ -159,8 +166,7 @@ class TestPropagateModes:
 
     def test_orthonormality_preserved_uniform(self, uniform_state):
         basis = build_phonon_basis(uniform_state, 16)
-        traj = propagate(uniform_state, t_final=10.0, dt=1e-3, stride=1000)
-        traj = propagate_modes(traj, basis)
+        traj = propagate(uniform_state, t_final=10.0, dt=1e-3, stride=1000, basis=basis)
         gram_dev, overlap = mode_diagnostics(traj)
         assert gram_dev < 1e-8
         assert overlap < 1e-8
@@ -171,18 +177,61 @@ class TestPropagateModes:
         assert gram_dev < 1e-8
         assert overlap < 1e-8
 
-    def test_matches_two_stage_heun_reference(self, trap_grid):
+    def test_geometry_at_strong_coupling(self):
+        # Criterion 09's overlap bound on the quench-dynamics setup at its
+        # strongest coupling.
+        grid = build_grid(256, 16.0, "box")
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=5.0)
+        traj = propagate(state, t_final=1.0, dt=2e-4, potential_of_t=TrapQuench(grid, 1.0, 1.3),
+                         stride=500, basis=build_phonon_basis(state, 32))
+        gram_dev, overlap = mode_diagnostics(traj)
+        assert gram_dev <= 1e-10
+        assert overlap <= 1e-8
+
+    def test_second_order_against_heun_reference(self, trap_grid):
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=2.0)
         quench = TrapQuench(trap_grid, omega_from=1.0, omega_to=1.2, t_switch=0.0)
-        traj = propagate(state, t_final=0.1, dt=2e-4, potential_of_t=quench, stride=100)
         basis = build_phonon_basis(state, 16)
-        traj = propagate_modes(traj, basis)
-        xi_ref, phi_ref = reference_mode_propagation(traj, basis)
-        assert len(xi_ref) == traj.n_snapshots == 6
-        for i in range(traj.n_snapshots):
-            # propagate and the re-stepping share _stepper: bit-identical.
-            assert np.array_equal(xi_ref[i], traj.xi_t[i].values)
-            assert np.max(np.abs(traj.modes_t[i].mode_matrix - phi_ref[i])) < 1e-12
+
+        def mode_error(dt):
+            traj = propagate(state, t_final=0.2, dt=dt, potential_of_t=quench,
+                             stride=int(round(0.1 / dt)), basis=basis)
+            xi_ref, phi_ref = reference_mode_propagation(traj, basis)
+            assert len(xi_ref) == traj.n_snapshots == 3
+            return max(
+                np.max(np.abs(modes.mode_matrix - phi))
+                for modes, phi in zip(traj.modes_t, phi_ref)
+            )
+
+        # Both integrators are second order, so their difference is O(dt^2).
+        assert 3.5 < mode_error(1e-4) / mode_error(5e-5) < 4.5
+
+    def test_one_pass_matches_wrapper_and_plain_propagate(self, trap_grid):
+        state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=2.0)
+        quench = TrapQuench(trap_grid, omega_from=1.0, omega_to=1.2, t_switch=0.0)
+        basis = build_phonon_basis(state, 16)
+        kwargs = dict(t_final=0.1, dt=2e-4, potential_of_t=quench, stride=100)
+        plain = propagate(state, **kwargs)
+        one_pass = propagate(state, basis=basis, **kwargs)
+        wrapped = propagate_modes(plain, basis)
+        assert plain.modes_t is None and plain.gram_t is None
+        for i in range(plain.n_snapshots):
+            assert np.array_equal(one_pass.xi_t[i].values, plain.xi_t[i].values)
+            assert np.array_equal(wrapped.xi_t[i].values, plain.xi_t[i].values)
+            assert np.array_equal(wrapped.modes_t[i].mode_matrix, one_pass.modes_t[i].mode_matrix)
+
+    def test_modes_evaluate_no_right_hand_side(self, trap_state_u1, monkeypatch):
+        calls = []
+        real = tdgpe.apply_gp_operator
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tdgpe, "apply_gp_operator", spy)
+        basis = build_phonon_basis(trap_state_u1, 8)
+        propagate(trap_state_u1, t_final=0.1, dt=1e-3, stride=20, basis=basis)
+        assert calls == []
 
     def test_rejects_bad_basis(self, trap_state_u1, trap_grid):
         traj = propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10)
@@ -194,12 +243,29 @@ class TestPropagateModes:
         bad = PhononBasis(modes=fields, condensate=trap_state_u1.xi, K=4)
         with pytest.raises(ConfigurationError):
             propagate_modes(traj, bad)
+        with pytest.raises(ConfigurationError):
+            propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10, basis=bad)
 
-    def test_large_step_triggers_integrator_error(self, trap_state_u1):
+    def test_large_step_keeps_geometry(self, trap_state_u1):
+        # A step far too coarse for accuracy: the transport stays unitary.
         basis = build_phonon_basis(trap_state_u1, 8)
-        traj = propagate(trap_state_u1, t_final=40.0, dt=0.2, stride=10)
+        traj = propagate(trap_state_u1, t_final=40.0, dt=0.2, stride=10, basis=basis)
+        gram_dev, overlap = mode_diagnostics(traj)
+        assert gram_dev <= 1e-12
+        assert overlap <= 1e-12
+
+    def test_non_unitary_transport_triggers_integrator_error(self, trap_state_u1, monkeypatch):
+        real = tdgpe._transport
+
+        def leaky(phi, psi0, psi1, dx):
+            phase = real(phi, psi0, psi1, dx)
+            phi *= 1.0 + 1e-7
+            return phase
+
+        monkeypatch.setattr(tdgpe, "_transport", leaky)
+        basis = build_phonon_basis(trap_state_u1, 8)
         with pytest.raises(IntegratorError):
-            propagate_modes(traj, basis)
+            propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=100, basis=basis)
 
 
 class TestMuOfT:
@@ -230,8 +296,7 @@ class TestMuOfT:
 class TestH3OfT:
     def test_stationary_coefficients_constant(self, trap_state_u1):
         basis = build_phonon_basis(trap_state_u1, 16)
-        traj = propagate(trap_state_u1, t_final=2.0, dt=2e-4, stride=2000)
-        traj = propagate_modes(traj, basis)
+        traj = propagate(trap_state_u1, t_final=2.0, dt=2e-4, stride=2000, basis=basis)
         h3s = h3_of_t(traj)
         for qh in h3s[1:]:
             assert np.max(np.abs(qh.m_matrix - h3s[0].m_matrix)) < 1e-7
@@ -242,8 +307,7 @@ class TestH3OfT:
     def test_linear_case_has_no_anomalous_part(self, trap_grid):
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=0.0)
         basis = build_phonon_basis(state, 8)
-        traj = propagate(state, t_final=0.1, dt=1e-3, stride=20)
-        traj = propagate_modes(traj, basis)
+        traj = propagate(state, t_final=0.1, dt=1e-3, stride=20, basis=basis)
         for qh in h3_of_t(traj):
             assert np.max(np.abs(qh.g_matrix)) == 0.0
 
@@ -275,9 +339,8 @@ class TestHrDiagnostic:
 
     def test_falsified_evolution_fails_to_cancel(self, trap_grid):
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=10.0)
-        traj = propagate(state, t_final=1.0, dt=1e-3, stride=200, evolution="linear")
         basis = build_phonon_basis(state, 24)
-        traj = propagate_modes(traj, basis)
+        traj = propagate(state, t_final=1.0, dt=1e-3, stride=200, evolution="linear", basis=basis)
         diags = hr_diagnostic(traj)
         assert min(d.mismatch for d in diags) > 1e-3
 
@@ -285,13 +348,12 @@ class TestHrDiagnostic:
         # With u = 0 the linear equation IS the interacting one; evolve a
         # displaced packet so the coefficients are far from trivial.
         state = displaced_gaussian_state(trap_grid, 1.0)
-        traj = propagate(state, t_final=0.5, dt=5e-5, stride=2500, evolution="linear")
         ground = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=0.0)
         seeds = [ComplexField(row, trap_grid) for row in build_phonon_basis(ground, 16).mode_matrix]
         basis = PhononBasis(
             modes=orthonormalize(seeds, against=state.xi), condensate=state.xi, K=16
         )
-        traj = propagate_modes(traj, basis)
+        traj = propagate(state, t_final=0.5, dt=5e-5, stride=2500, evolution="linear", basis=basis)
         diags = hr_diagnostic(traj)
         assert max(np.linalg.norm(d.h2_vector) for d in diags) > 0.1
         assert max(d.mismatch for d in diags) < 1e-9
@@ -302,9 +364,8 @@ class TestHrDiagnostic:
 
         def max_mismatch(dt, evolution):
             traj = propagate(state, t_final=0.5, dt=dt, potential_of_t=quench,
-                             stride=int(round(0.25 / dt)), evolution=evolution)
-            basis = build_phonon_basis(state, 16)
-            traj = propagate_modes(traj, basis)
+                             stride=int(round(0.25 / dt)), evolution=evolution,
+                             basis=build_phonon_basis(state, 16))
             return max(d.mismatch for d in hr_diagnostic(traj))
 
         gpe_coarse = max_mismatch(1e-3, "gpe")
