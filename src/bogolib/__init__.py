@@ -35,7 +35,9 @@ from .errors import (
 )
 from .gpe import (
     CondensateState,
+    SolveTrace,
     chemical_potential,
+    default_tol,
     energy_functional_h1,
     gpe_residual,
     h2_coefficients,

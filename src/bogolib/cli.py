@@ -29,7 +29,13 @@ import numpy as np
 from . import __version__
 from .bdg import assemble, build_phonon_basis, check_stability, diagonalize
 from .errors import BogolibError, ConfigurationError, InstabilityError
-from .gpe import energy_functional_h1, harmonic_potential, solve_stationary, zero_potential
+from .gpe import (
+    default_tol,
+    energy_functional_h1,
+    harmonic_potential,
+    solve_stationary,
+    zero_potential,
+)
 from .grid import build_grid, norm
 from .homogeneous import (
     bogoliubov_dispersion,
@@ -140,7 +146,8 @@ SCHEMA = {
         "volume": (_parse_bounded_float(0, lo_open=True), None),
     },
     "numerics": {
-        "tol": (_parse_bounded_float(0, lo_open=True), 1e-11),
+        # Resolved below from the grid (gpe.default_tol) when not given.
+        "tol": (_parse_bounded_float(0, lo_open=True), None),
         "max_iters": (_parse_bounded_int(1), 20000),
         "dt": (_parse_bounded_float(0, lo_open=True), 1e-3),
         "t_final": (_parse_bounded_float(0, lo_open=True), 10.0),
@@ -231,6 +238,11 @@ def load_config(path: str) -> dict:
         for key in SCHEMA["grid"]:
             if key not in config["grid"]:
                 raise ConfigurationError(f"missing required key [grid] {key}")
+        if "tol" not in config["numerics"]:
+            gridcfg = config["grid"]
+            config["numerics"]["tol"] = default_tol(
+                build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
+            )
     elif config["grid"]:
         raise ConfigurationError(f"[grid] section is not used by scenario {scenario}")
 

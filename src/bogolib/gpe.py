@@ -4,19 +4,28 @@ Finds the real, nodeless ground-state orbital xi(x) of
 
     -1/2 xi'' + V xi + u_tilde |xi|^2 xi = mu xi,   integral |xi|^2 dx = 1,
 
-by normalized imaginary-time split stepping with an adaptive step,
-polished by a projected Newton iteration once the residual is small.
+by normalized imaginary-time split stepping with an adaptive step until
+the residual is small or stops falling, then polished by a projected
+Newton iteration.
 
 Each Newton step solves the bordered system
 
-    [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [d xi; d mu] = [-r; 0]
+    [[J, -xi], [xi^T dx, 0]] [d xi; d mu] = [-r; 0],   J = T + V + 3 u_tilde xi^2 - mu,
 
-for the residual r = (T + V + u_tilde xi^2 - mu) xi, with T the dense
-kinetic matrix.  Newton stops as soon as a step fails to halve the
-residual: that residual is the round-off floor of the grid.  A floor
-above ``tol`` is a ``ConvergenceError`` that names it.  The same matrix
-at the converged state gives the exact N-derivative of the orbital (see
-``number_shift.exact_dxi_dN``), with right-hand side [-(u_tilde/N) xi^3; 0].
+for the residual r = (T + V + u_tilde xi^2 - mu) xi.  No matrix is formed:
+with e = xi/|xi| and P = I - e e^T, the step is the solution orthogonal to
+xi of P J P d = P rhs, found by conjugate gradients with T applied through
+the grid's spectral transform and (T + s)^-1 as preconditioner; then
+d mu = e.(J d - rhs)/(e.xi).  P J P is positive definite on the complement
+of xi near the ground state for every u_tilde >= 0 (J itself is singular
+along xi at u_tilde = 0), so one CG solve serves each step.  This is
+Newton-Krylov in the sense of Knoll & Keyes, J. Comput. Phys. 193, 357
+(2004).  Newton stops as soon as a step fails to halve the residual: that
+residual is the round-off floor of the grid.  A floor above ``tol`` is a
+``ConvergenceError`` that names it.  The default ``tol`` tracks that floor
+(see ``default_tol``).  The same solve at the converged state gives the
+exact N-derivative of the orbital (see ``number_shift.exact_dxi_dN``), with
+right-hand side [-(u_tilde/N) xi^3; 0].
 
 The chemical potential is always reported through the energy functional
 
@@ -36,13 +45,37 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 import scipy.fft
-import scipy.linalg
 
 from .errors import ConfigurationError, ConvergenceError, DimensionMismatchError
-from .grid import ComplexField, Grid1D, _kinetic_values, kinetic_matrix
+from .grid import ComplexField, Grid1D, _kinetic_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bdg import PhononBasis
+
+
+@dataclass(frozen=True)
+class SolveTrace:
+    """What ``solve_stationary`` did to reach its state.
+
+    ``residuals`` holds the residual after the imaginary-time stage, then
+    the residual of each Newton trial, kept or not; ``cg_iterations`` has
+    one entry per Newton step.  ``stop_reason`` is ``"tol reached in
+    imaginary time"`` (no Newton step was needed), or what ended Newton:
+    ``"round-off floor"``, ``"Newton step cap"``, ``"failed linear
+    solve"`` or ``"diverging step"`` (the last two only after an earlier
+    step already reached tol).
+    """
+
+    imag_steps: int
+    imag_rejected: int
+    final_dtau: float
+    cg_iterations: tuple[int, ...]
+    residuals: tuple[float, ...]
+    stop_reason: str
+
+    @property
+    def newton_steps(self) -> int:
+        return len(self.cg_iterations)
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +90,7 @@ class CondensateState:
     residual: float
     # Accepted-step energies of the imaginary-time stage (diagnostic).
     h1_history: np.ndarray = field(repr=False, default=None)
+    trace: SolveTrace | None = field(repr=False, default=None)
 
     @property
     def grid(self) -> Grid1D:
@@ -65,6 +99,33 @@ class CondensateState:
 
 # Safety cap on Newton steps; each kept step at least halves the residual.
 _NEWTON_MAX_STEPS = 40
+# The imaginary-time stage hands over to Newton below this residual, or
+# earlier, on the O(dtau^2) plateau of the split map.  In a trap with
+# omega = 1 the plateau usually comes first (near 1e-2); at omega = 0.3,
+# or omega = 2 with u_tilde = 0, this switch ends the stage (e.g. 90
+# rather than 620 steps at omega = 2, u_tilde = 0).
+_NEWTON_SWITCH = 1e-4
+# CG stops once its residual is below _CG_RTOL times the norm of the
+# right-hand side; it has taken 19-35 iterations on box and periodic
+# grids with n = 128-8192 and u_tilde = 0-50.
+_CG_RTOL = 1e-14
+_CG_MAX_ITERS = 300
+# The residual floor of a converged solve is 0.3-0.85 eps lambda_max(T)
+# (box and periodic grids, n = 1024-8192); see ``default_tol``.
+_FLOOR_FACTOR = 2.0
+
+
+def default_tol(grid: Grid1D) -> float:
+    """Residual target used when ``tol`` is not given: max(1e-11, 2 eps lambda_max(T)).
+
+    The round-off floor of the stationary residual grows with the largest
+    kinetic eigenvalue lambda_max of the grid (4x per doubling of n), so a
+    fixed target fails on fine grids.  The factor 2 clears the largest
+    measured floor, about 0.85 eps lambda_max; up to n = 1024 on a box of
+    length 16 the target is 1e-11.
+    """
+    lam_max = float(np.max(grid.kinetic_eigs))
+    return max(1e-11, _FLOOR_FACTOR * np.finfo(float).eps * lam_max)
 
 
 def zero_potential(grid: Grid1D) -> ComplexField:
@@ -109,22 +170,72 @@ def _residual_norm(grid, v_real, u_tilde, xi_values, mu):
     return float(np.sqrt(np.vdot(r, r).real * grid.dx))
 
 
-def _solve_bordered(kin, v_real, u_tilde, psi, mu, dx, rhs):
+def _spectral_map(grid: Grid1D, weights: np.ndarray):
+    """v -> S diag(weights) S v on real arrays, S the grid's spectral transform."""
+    if grid.boundary == "periodic":
+        n = grid.n_points
+        half = weights[: n // 2 + 1]
+        return lambda v: scipy.fft.irfft(half * scipy.fft.rfft(v), n)
+    return lambda v: scipy.fft.idst(
+        weights * scipy.fft.dst(v, type=1, norm="ortho"), type=1, norm="ortho"
+    )
+
+
+def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     """Solve the bordered system of the module docstring for (d, m).
 
-    [[kin + V + 3 u_tilde psi^2 - mu, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0],
-    with ``psi`` the real orbital and ``kin`` the dense kinetic matrix.
-    Raises ``scipy.linalg.LinAlgError`` if the matrix is singular.
+    [[J, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0] for the real orbital
+    ``psi``, by conjugate gradients on P J P d = P rhs with d orthogonal
+    to psi, preconditioned with (T + s)^-1, s = median|V + 3 u_tilde
+    psi^2 - mu|.  CG stops once its residual is at most _CG_RTOL |rhs|,
+    so a right-hand side along psi gives d = 0 without iterating.
+    Returns (d, m, CG iterations).
+
+    Raises ``ConvergenceError`` if CG meets non-positive curvature (P J P
+    not positive definite at psi) or does not converge in _CG_MAX_ITERS.
     """
-    n = psi.shape[0]
-    system = np.zeros((n + 1, n + 1))
-    system[:n, :n] = kin
-    diag = np.arange(n)
-    system[diag, diag] += v_real + 3.0 * u_tilde * psi**2 - mu
-    system[:n, n] = -psi
-    system[n, :n] = psi * dx
-    solution = scipy.linalg.solve(system, np.append(rhs, 0.0), overwrite_a=True)
-    return solution[:n], float(solution[n])
+    diag = v_real + 3.0 * u_tilde * psi**2 - mu
+    kinetic = _spectral_map(grid, grid.kinetic_eigs)
+    precondition = _spectral_map(grid, 1.0 / (grid.kinetic_eigs + np.median(np.abs(diag))))
+    e = psi / np.linalg.norm(psi)
+
+    def jacobian(v):
+        return kinetic(v) + diag * v
+
+    def project(v):
+        return v - (e @ v) * e
+
+    d = np.zeros_like(psi)
+    r = project(rhs)
+    target = _CG_RTOL * np.linalg.norm(rhs)
+    iterations = 0
+    if np.linalg.norm(r) > target:
+        z = project(precondition(r))
+        p, rz = z, r @ z
+        for iterations in range(1, _CG_MAX_ITERS + 1):
+            q = project(jacobian(p))
+            curvature = p @ q
+            if not curvature > 0:
+                raise ConvergenceError(
+                    f"CG met non-positive curvature p.Jp = {curvature:.3e} at "
+                    f"iteration {iterations}: the Jacobian is not positive "
+                    "definite off the orbital"
+                )
+            alpha = rz / curvature
+            d += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) <= target:
+                break
+            z = project(precondition(r))
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+        else:
+            raise ConvergenceError(
+                f"CG did not converge in {_CG_MAX_ITERS} iterations "
+                f"(residual {np.linalg.norm(r):.3e}, target {target:.3e})"
+            )
+    m = float(e @ (jacobian(d) - rhs) / (e @ psi))
+    return d, m, iterations
 
 
 def solve_stationary(
@@ -132,7 +243,7 @@ def solve_stationary(
     potential: ComplexField,
     u_tilde: float,
     n_particles: float = 1.0,
-    tol: float = 1e-11,
+    tol: float | None = None,
     max_iters: int = 20000,
 ) -> CondensateState:
     """Ground-state branch of the stationary equation.
@@ -142,8 +253,10 @@ def solve_stationary(
     u_tilde : float
         Scaled repulsive interaction (N times the physical coupling);
         attractive values are rejected.
-    tol : float
-        Target L2 residual of the stationary equation.
+    tol : float, optional
+        Target L2 residual of the stationary equation.  ``None`` means
+        ``default_tol(grid)``, which tracks the grid's round-off floor; an
+        explicit value is absolute.
     max_iters : int
         Cap on imaginary-time iterations.
 
@@ -154,11 +267,14 @@ def solve_stationary(
     ConvergenceError
         If the residual target is not reached; carries the residual of the
         last kept iterate, and the message says why Newton stopped (its
-        round-off floor, a singular Jacobian or a diverging step).
+        round-off floor, a failed linear solve, chained as the cause, or a
+        diverging step).
     """
     if u_tilde < 0:
         raise ConfigurationError("attractive interactions (u_tilde < 0) are not supported")
-    if tol <= 0:
+    if tol is None:
+        tol = default_tol(grid)
+    elif tol <= 0:
         raise ConfigurationError("tol must be positive")
     v_real = _check_potential(grid, potential)
 
@@ -168,41 +284,33 @@ def solve_stationary(
 
     dtau = 1e-2
     dtau_max = 0.1
-    newton_switch = 1e-4
     history = []
     mu, h1, _ = _quadrature_mu_h1(grid, v_real, u_tilde, psi)
     history.append(h1)
     residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
+    kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
 
-    exp_half = np.exp(-0.5 * dtau * grid.kinetic_eigs)
-
-    def kinetic_half(values):
-        if grid.boundary == "periodic":
-            return scipy.fft.ifft(exp_half * scipy.fft.fft(values)).real
-        return scipy.fft.idst(
-            exp_half * scipy.fft.dst(values, type=1, norm="ortho"), type=1, norm="ortho"
-        )
-
-    iters = 0
+    iters = rejected = 0
     last_checked = np.inf
-    while residual > newton_switch and residual > tol and iters < max_iters:
+    while residual > _NEWTON_SWITCH and residual > tol and iters < max_iters:
         trial = kinetic_half(psi)
         trial = trial * np.exp(-dtau * (v_real + u_tilde * trial**2))
         trial = kinetic_half(trial)
         trial /= np.sqrt(np.sum(trial**2) * grid.dx)
         mu_t, h1_t, _ = _quadrature_mu_h1(grid, v_real, u_tilde, trial)
         if h1_t > history[-1] + 1e-13:
+            rejected += 1
             dtau *= 0.5
             if dtau < 1e-12:
                 break
-            exp_half = np.exp(-0.5 * dtau * grid.kinetic_eigs)
+            kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
             continue
         psi, mu = trial, mu_t
         history.append(h1_t)
         iters += 1
         if dtau < dtau_max:  # recover from early halvings
             dtau = min(dtau * 1.05, dtau_max)
-            exp_half = np.exp(-0.5 * dtau * grid.kinetic_eigs)
+            kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
         if iters % 10 == 0:
             residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
             # The split map's own fixed point carries an O(dtau^2) residual
@@ -212,31 +320,39 @@ def solve_stationary(
             last_checked = residual
 
     residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
+    residuals = [residual]
+    cg_iterations = []
 
     # Projected Newton polish on the real-valued problem.  A step is kept
     # only if it lowers the residual; Newton stops at the first step that
     # does not halve it, so ``residual`` always belongs to ``psi``.
-    stop, cause = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor", None
+    reason, stop, cause = "tol reached in imaginary time", "", None
     if residual > tol:
-        kin = kinetic_matrix(grid)
+        reason = "Newton step cap"
+        stop = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor"
         for _ in range(_NEWTON_MAX_STEPS):
             r_vec = apply_gp_operator(grid, v_real, u_tilde, psi).real - mu * psi
             try:
-                step, _ = _solve_bordered(kin, v_real, u_tilde, psi, mu, grid.dx, -r_vec)
-            except scipy.linalg.LinAlgError as exc:
-                stop, cause = "hit a singular Jacobian", exc
+                step, _, cg_iters = _solve_linearized(grid, v_real, u_tilde, psi, mu, -r_vec)
+            except ConvergenceError as exc:
+                reason, cause = "failed linear solve", exc
+                stop = f"failed to solve for its step: {exc}"
                 break
+            cg_iterations.append(cg_iters)
             trial = psi + step
             trial /= np.sqrt(np.sum(trial**2) * grid.dx)
             trial_mu, _, _ = _quadrature_mu_h1(grid, v_real, u_tilde, trial)
             new_residual = _residual_norm(grid, v_real, u_tilde, trial, trial_mu)
+            residuals.append(new_residual)
             if not new_residual <= 10 * residual:  # also catches NaN
+                reason = "diverging step"
                 stop = f"took a diverging step (residual {new_residual:.3e})"
                 break
             if new_residual < residual:
                 psi, mu = trial, trial_mu
             if new_residual > 0.5 * residual:
                 residual = min(residual, new_residual)
+                reason = "round-off floor"
                 stop = f"reached the round-off floor {residual:.3e} of the grid"
                 break
             residual = new_residual
@@ -262,6 +378,14 @@ def solve_stationary(
         mu=mu,
         residual=residual,
         h1_history=np.asarray(history),
+        trace=SolveTrace(
+            imag_steps=iters,
+            imag_rejected=rejected,
+            final_dtau=dtau,
+            cg_iterations=tuple(cg_iterations),
+            residuals=tuple(residuals),
+            stop_reason=reason,
+        ),
     )
 
 
@@ -280,9 +404,17 @@ def energy_functional_h1(state: CondensateState) -> float:
 
 
 def gpe_residual(state: CondensateState) -> float:
-    """L2 norm of (-1/2 d^2/dx^2 + V + u|xi|^2 - mu) xi."""
+    """L2 norm of (-1/2 d^2/dx^2 + V + u|xi|^2 - mu) xi.
+
+    A real orbital is evaluated as a real array, as the solver does: the
+    transform of its zero imaginary part would add round-off of the size
+    of the grid's residual floor.
+    """
     v_real = state.potential.values.real
-    return _residual_norm(state.grid, v_real, state.u_tilde, state.xi.values, state.mu)
+    values = state.xi.values
+    if not np.any(values.imag):
+        values = values.real
+    return _residual_norm(state.grid, v_real, state.u_tilde, values, state.mu)
 
 
 def h2_coefficients(state: CondensateState, basis: "PhononBasis") -> np.ndarray:

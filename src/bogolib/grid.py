@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigurationError, DegeneracyError, DimensionMismatchError
 
@@ -179,18 +181,26 @@ def apply_kinetic(f: ComplexField) -> ComplexField:
 
 
 def kinetic_matrix(grid: Grid1D) -> np.ndarray:
-    """Dense real-symmetric matrix of -1/2 d^2/dx^2 on the grid."""
-    eye = np.eye(grid.n_points)
+    """Dense real-symmetric matrix of -1/2 d^2/dx^2 on the grid, in O(n^2).
+
+    Periodic grids give a circulant matrix whose first column is the
+    inverse FFT of the kinetic eigenvalues.  On a box, S diag(lambda) S
+    with the orthonormal DST-I S is Toeplitz minus Hankel: with 0-based
+    indices, T_ij = c(|i - j|) - c(i + j + 2), where
+    c(m) = (1/(n+1)) sum_k lambda_k cos(pi k m / (n+1)) is the real part
+    of one FFT of length 2(n+1).
+    """
+    n = grid.n_points
     if grid.boundary == "periodic":
-        cols = scipy.fft.ifft(grid.kinetic_eigs[:, None] * scipy.fft.fft(eye, axis=0), axis=0)
-        return np.ascontiguousarray(cols.real)
-    cols = scipy.fft.idst(
-        grid.kinetic_eigs[:, None] * scipy.fft.dst(eye, type=1, norm="ortho", axis=0),
-        type=1,
-        norm="ortho",
-        axis=0,
-    )
-    return np.ascontiguousarray(cols)
+        return scipy.linalg.circulant(scipy.fft.ifft(grid.kinetic_eigs).real)
+    padded = np.zeros(2 * (n + 1))
+    padded[1 : n + 1] = grid.kinetic_eigs
+    c = scipy.fft.fft(padded).real / (n + 1)
+    # Row i of the Toeplitz part is the window of ``mirrored`` starting at n-1-i.
+    mirrored = np.concatenate((c[n - 1 : 0 : -1], c[:n]))
+    toeplitz = sliding_window_view(mirrored, n)[::-1]
+    hankel = sliding_window_view(c[2 : 2 * n + 1], n)
+    return toeplitz - hankel
 
 
 def orthonormalize(

@@ -5,7 +5,8 @@ interaction N*u.  Differentiating the solved orbital with respect to N
 gives a field whose expansion over {xi, xi_k} yields a gauge coefficient
 r0 (removable by a phase choice along the N-family) and coefficients r_k
 of order one.  ``exact_dxi_dN`` differentiates the stationary equation
-itself: one solve of the Newton system of ``gpe`` at the converged state,
+itself: one matrix-free solve of the Newton system of ``gpe`` at the
+converged state,
 
     [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [dxi/dN; dmu/dN] = [-u xi^3; 0],
 
@@ -29,8 +30,8 @@ import numpy as np
 
 from .bdg import PhononBasis, QuasiparticleSpectrum
 from .errors import ConfigurationError, DimensionMismatchError, TruncationError
-from .gpe import CondensateState, _solve_bordered, solve_stationary
-from .grid import ComplexField, Grid1D, inner_product, kinetic_matrix
+from .gpe import CondensateState, _solve_linearized, solve_stationary
+from .grid import ComplexField, Grid1D, inner_product
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,7 @@ class StationaryProblem:
     grid: Grid1D
     potential: ComplexField
     u: float
-    tol: float = 1e-11
+    tol: float | None = None  # None: gpe.default_tol of the grid
     max_iters: int = 20000
 
     def solve(self, n_particles: float) -> CondensateState:
@@ -95,6 +96,8 @@ def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
     The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
     ``state`` must hold the real orbital that ``solve_stationary``
     returns; a phased (complex) orbital raises ``ConfigurationError``.
+    The solve is the Newton step's conjugate-gradient solve, and raises
+    its ``ConvergenceError`` when that fails.
     """
     if np.any(state.xi.values.imag != 0.0):
         raise ConfigurationError(
@@ -103,13 +106,12 @@ def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
         )
     grid = state.grid
     psi = state.xi.values.real
-    dpsi, dmu = _solve_bordered(
-        kinetic_matrix(grid),
+    dpsi, dmu, _ = _solve_linearized(
+        grid,
         state.potential.values.real,
         state.u_tilde,
         psi,
         state.mu,
-        grid.dx,
         -(state.u_tilde / state.n_particles) * psi**3,
     )
     return ComplexField(dpsi.astype(np.complex128), grid), dmu

@@ -12,6 +12,8 @@ from bogolib.errors import (
     InstabilityError,
     ResourceError,
 )
+from bogolib.gpe import default_tol
+from bogolib.grid import build_grid
 
 UNIFORM_SPECTRUM = """
 [scenario]
@@ -84,6 +86,19 @@ class TestValidate:
         echoed = json.loads(capsys.readouterr().out)
         assert echoed["scenario"]["name"] == "spectrum"
         assert echoed["numerics"]["tol"] == 1e-11  # default resolved
+
+    def test_default_tol_follows_the_grid(self, tmp_path, capsys):
+        # The default tracks the round-off floor: max(1e-11, 2 eps lambda_max).
+        fine = UNIFORM_SPECTRUM.replace("n_points = 64", "n_points = 8192")
+        assert main(["validate", write_config(tmp_path, fine, outdir=tmp_path / "out")]) == 0
+        tol = json.loads(capsys.readouterr().out)["numerics"]["tol"]
+        assert tol == default_tol(build_grid(8192, 6.283185307179586, "periodic")) > 1e-11
+        explicit = fine.replace("k_modes = 16", "k_modes = 16\ntol = 1e-11")
+        assert main(["validate", write_config(tmp_path, explicit, outdir=tmp_path / "out")]) == 0
+        assert json.loads(capsys.readouterr().out)["numerics"]["tol"] == 1e-11
+        # Scenarios without a grid solve nothing and carry no tol.
+        assert main(["validate", write_config(tmp_path, FOCK, outdir=tmp_path / "out")]) == 0
+        assert "tol" not in json.loads(capsys.readouterr().out)["numerics"]
 
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         bad = UNIFORM_SPECTRUM.replace("length = 6.283185307179586\n", "")

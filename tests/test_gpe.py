@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -8,13 +10,22 @@ from bogolib.errors import ConfigurationError, ConvergenceError
 from bogolib.gpe import (
     CondensateState,
     chemical_potential,
+    default_tol,
     energy_functional_h1,
     gpe_residual,
     h2_coefficients,
     harmonic_potential,
     solve_stationary,
 )
-from bogolib.grid import ComplexField, apply_kinetic, build_grid, inner_product, norm
+from bogolib.grid import (
+    ComplexField,
+    apply_kinetic,
+    build_grid,
+    inner_product,
+    kinetic_matrix,
+    norm,
+)
+from bogolib.number_shift import StationaryProblem, exact_dxi_dN
 
 TWO_PI = 2.0 * np.pi
 
@@ -80,14 +91,14 @@ class TestSolveStationary:
         assert excinfo.value.residual > 1e-16
 
 
-ORIGINAL_SOLVE = scipy.linalg.solve
+ORIGINAL_SOLVE = gpe._solve_linearized
 
 
 class SolveSpy:
-    """Stand-in for scipy.linalg.solve that counts the bordered solves.
+    """Stand-in for gpe._solve_linearized that counts the Newton solves.
 
     ``on_call`` maps a 1-based call number to a function that replaces
-    the true solution of that call (or raises).
+    the true (d, m, iterations) of that call (or raises).
     """
 
     def __init__(self, on_call=None):
@@ -102,33 +113,131 @@ class SolveSpy:
 
 
 def _huge_step(solution):
-    return 1e6 * solution
+    d, m, iterations = solution
+    return 1e6 * d, m, iterations
 
 
-def _singular(solution):
-    raise scipy.linalg.LinAlgError("singular matrix")
+def _failed_solve(solution):
+    raise ConvergenceError("CG met non-positive curvature p.Jp = -1.000e+00 at iteration 1")
+
+
+def dense_bordered_solve(grid, v_real, u_tilde, psi, mu, rhs):
+    """The bordered system of the gpe module docstring, by dense LU: O(n^3).
+
+    [[T + V + 3 u psi^2 - mu, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0].
+    """
+    n = grid.n_points
+    system = np.zeros((n + 1, n + 1))
+    system[:n, :n] = kinetic_matrix(grid)
+    system[range(n), range(n)] += v_real + 3.0 * u_tilde * psi**2 - mu
+    system[:n, n] = -psi
+    system[n, :n] = psi * grid.dx
+    solution = scipy.linalg.solve(system, np.append(rhs, 0.0))
+    return solution[:n], float(solution[n])
+
+
+def perturbed_newton_problem(state):
+    """A normalized orbital off the ground state and its Newton right-hand side."""
+    grid = state.grid
+    v_real = state.potential.values.real
+    psi = state.xi.values.real + 1e-3 * np.sin(3.0 * np.pi * grid.points / grid.length)
+    psi /= np.sqrt(np.sum(psi**2) * grid.dx)
+    mu = gpe._quadrature_mu_h1(grid, v_real, state.u_tilde, psi)[0]
+    residual = gpe.apply_gp_operator(grid, v_real, state.u_tilde, psi).real - mu * psi
+    return v_real, psi, mu, -residual
+
+
+def _assert_close(d, m, dense_d, dense_m):
+    assert np.linalg.norm(d - dense_d) <= 1e-10 * np.linalg.norm(dense_d)
+    assert abs(m - dense_m) <= 1e-10 * abs(dense_m)
+
+
+class TestLinearizedSolve:
+    @pytest.mark.parametrize("u_tilde", [0.0, 2.0, 50.0])
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    @pytest.mark.parametrize("n_points", [128, 512])
+    def test_matches_dense_bordered_oracle(self, n_points, boundary, u_tilde):
+        grid = build_grid(n_points, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde, n_particles=100.0)
+        # A Newton step off the ground state.
+        v_real, psi, mu, rhs = perturbed_newton_problem(state)
+        d, m, iterations = gpe._solve_linearized(grid, v_real, u_tilde, psi, mu, rhs)
+        _assert_close(d, m, *dense_bordered_solve(grid, v_real, u_tilde, psi, mu, rhs))
+        assert 0 < iterations <= 60
+        # The N-derivative at the ground state (zero when u_tilde = 0).
+        dxi, dmu = exact_dxi_dN(state)
+        psi = state.xi.values.real
+        rhs = -(u_tilde / state.n_particles) * psi**3
+        _assert_close(
+            dxi.values.real, dmu, *dense_bordered_solve(grid, v_real, u_tilde, psi, state.mu, rhs)
+        )
+
+    def test_zero_right_hand_side(self, trap_states):
+        state = trap_states[10.0]
+        psi = state.xi.values.real
+        d, m, iterations = gpe._solve_linearized(
+            state.grid, state.potential.values.real, 10.0, psi, state.mu, np.zeros_like(psi)
+        )
+        assert iterations == 0 and m == 0.0 and not np.any(d)
+
+    def test_right_hand_side_along_the_orbital(self, trap_states):
+        # J d - m psi = c psi has d = 0 and m = -c; CG on the round-off of
+        # the projected right-hand side would meet non-positive curvature.
+        state = trap_states[10.0]
+        psi = state.xi.values.real
+        d, m, iterations = gpe._solve_linearized(
+            state.grid, state.potential.values.real, 10.0, psi, state.mu, 0.3 * psi
+        )
+        assert iterations == 0 and not np.any(d)
+        assert m == pytest.approx(-0.3, rel=1e-14)
+
+    def test_uniform_state_derivative_has_no_shape_change(self, uniform_state):
+        # xi^3 is parallel to a constant xi: dxi/dN = 0, dmu/dN = u integral xi^4 / N.
+        dxi, dmu = exact_dxi_dN(uniform_state)
+        assert not np.any(dxi.values)
+        L = uniform_state.grid.length
+        assert dmu == pytest.approx(uniform_state.u_tilde / L / uniform_state.n_particles, rel=1e-13)
+
+    def test_non_positive_curvature_raises(self, trap_states):
+        # Far above the spectrum, J is negative definite off the orbital.
+        state = trap_states[10.0]
+        psi = state.xi.values.real
+        rhs = np.sin(2.0 * np.pi * state.grid.points / state.grid.length)
+        with pytest.raises(ConvergenceError, match="non-positive curvature"):
+            gpe._solve_linearized(state.grid, state.potential.values.real, 10.0, psi, 1e3, rhs)
+
+    def test_iteration_cap_raises(self, monkeypatch, trap_states):
+        monkeypatch.setattr(gpe, "_CG_MAX_ITERS", 3)
+        state = trap_states[10.0]
+        v_real, psi, mu, rhs = perturbed_newton_problem(state)
+        with pytest.raises(ConvergenceError, match="did not converge in 3 iterations"):
+            gpe._solve_linearized(state.grid, v_real, 10.0, psi, mu, rhs)
 
 
 class TestNewtonPolish:
     @pytest.mark.parametrize("boundary", ["box", "periodic"])
-    @pytest.mark.parametrize("n_points", [128, 512, 1024])
+    @pytest.mark.parametrize("n_points", [128, 512, 1024, 2048, 4096])
     def test_ladder_converges_in_few_solves(self, monkeypatch, boundary, n_points):
         spy = SolveSpy()
-        monkeypatch.setattr(gpe.scipy.linalg, "solve", spy)
+        monkeypatch.setattr(gpe, "_solve_linearized", spy)
         grid = build_grid(n_points, 16.0, boundary)
         state = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
-        assert state.residual <= 1e-11
+        trace = state.trace
+        assert state.residual <= default_tol(grid)
         assert state.residual == pytest.approx(gpe_residual(state))
-        assert 1 <= spy.calls <= 6
+        assert trace.stop_reason == "round-off floor"
+        assert 1 <= trace.newton_steps == spy.calls <= 6
+        assert all(0 < k <= 60 for k in trace.cg_iterations)
+        assert state.residual == min(trace.residuals)
 
     def test_floor_above_tol_fails_fast_and_names_it(self, monkeypatch):
         # At n=2048 on this box the round-off floor (about 1.2e-11) lies
-        # just above the default tol.
+        # just above an explicit tol of 1e-11, which stays absolute.
         spy = SolveSpy()
-        monkeypatch.setattr(gpe.scipy.linalg, "solve", spy)
+        monkeypatch.setattr(gpe, "_solve_linearized", spy)
         grid = build_grid(2048, 16.0, "box")
         with pytest.raises(ConvergenceError, match="round-off floor") as excinfo:
-            solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+            solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0, tol=1e-11)
         assert excinfo.value.residual > 1e-11
         assert f"{excinfo.value.residual:.3e}" in str(excinfo.value)
         assert spy.calls <= 6
@@ -136,22 +245,82 @@ class TestNewtonPolish:
     def test_rejected_step_keeps_last_accepted_state(self, monkeypatch, trap_grid):
         # The first Newton step reaches ~4e-5 <= tol; the second is blown up.
         # The returned residual must belong to the returned orbital.
-        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({2: _huge_step}))
+        monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({2: _huge_step}))
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0, tol=1e-4)
         assert state.residual == pytest.approx(gpe_residual(state))
         assert abs(norm(state.xi) - 1.0) < 1e-12
+        assert state.trace.stop_reason == "diverging step"
+        assert state.trace.newton_steps == 2
 
     def test_diverging_step_named(self, monkeypatch, trap_grid):
-        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({2: _huge_step}))
+        monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({2: _huge_step}))
         with pytest.raises(ConvergenceError, match="diverging step") as excinfo:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
         assert excinfo.value.residual < 1e-3
+        assert excinfo.value.__cause__ is None
 
-    def test_singular_jacobian_named_and_chained(self, monkeypatch, trap_grid):
-        monkeypatch.setattr(gpe.scipy.linalg, "solve", SolveSpy({1: _singular}))
-        with pytest.raises(ConvergenceError, match="singular Jacobian") as excinfo:
+    def test_failed_solve_named_and_chained(self, monkeypatch, trap_grid):
+        monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({1: _failed_solve}))
+        with pytest.raises(
+            ConvergenceError, match="failed to solve for its step: CG met non-positive curvature"
+        ) as excinfo:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
-        assert isinstance(excinfo.value.__cause__, scipy.linalg.LinAlgError)
+        assert isinstance(excinfo.value.__cause__, ConvergenceError)
+        assert excinfo.value.residual > 1e-3  # the imaginary-time plateau
+
+
+class TestDefaultTol:
+    def test_tracks_largest_kinetic_eigenvalue(self):
+        eps = np.finfo(float).eps
+        assert default_tol(build_grid(1024, 16.0, "box")) == 1e-11
+        for boundary in ("box", "periodic"):
+            grid = build_grid(8192, 16.0, boundary)
+            assert default_tol(grid) == 2.0 * eps * grid.kinetic_eigs.max()
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_largest_grid_converges(self, boundary):
+        grid = build_grid(8192, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        assert state.residual <= default_tol(grid)
+        assert state.trace.stop_reason == "round-off floor"
+
+    def test_explicit_tol_validated(self, trap_grid):
+        for tol in (0.0, -1e-11):
+            with pytest.raises(ConfigurationError, match="tol"):
+                solve_stationary(trap_grid, harmonic_potential(trap_grid), 1.0, tol=tol)
+
+    def test_problem_defaults_to_grid_tol(self, trap_grid):
+        problem = StationaryProblem(trap_grid, harmonic_potential(trap_grid), u=0.1)
+        assert problem.tol is None
+        assert problem.solve(100.0).residual <= default_tol(trap_grid)
+
+
+class TestSolveTrace:
+    def test_records_both_stages(self, trap_states):
+        for state in trap_states.values():
+            trace = state.trace
+            assert trace.imag_steps == len(state.h1_history) - 2
+            assert trace.imag_rejected >= 0
+            assert 0 < trace.final_dtau <= 0.1
+            assert len(trace.residuals) == trace.newton_steps + 1
+            assert state.residual == min(trace.residuals)
+
+    def test_imaginary_time_stops_on_its_plateau(self, trap_states):
+        # The split map's O(dtau^2) fixed point stops the first stage near
+        # 1e-2; Newton does the rest.
+        trace = trap_states[10.0].trace
+        assert 1e-3 < trace.residuals[0] < 1e-1
+        assert trace.imag_rejected == 0 and trace.final_dtau == 0.1
+        assert trace.stop_reason == "round-off floor"
+
+    def test_exact_start_needs_no_newton(self, uniform_state):
+        trace = uniform_state.trace
+        assert trace.stop_reason == "tol reached in imaginary time"
+        assert trace.imag_steps == 0 and trace.newton_steps == 0
+
+    def test_frozen(self, uniform_state):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            uniform_state.trace.stop_reason = "other"
 
 
 class TestFunctionals:

@@ -94,6 +94,34 @@ class TestApplyKinetic:
             assert np.max(np.abs(dense - dense.T)) < 1e-12
 
 
+def dense_kinetic_oracle(grid):
+    """Dense kinetic matrix as the spectral transform of the identity, O(n^3)."""
+    eye = np.eye(grid.n_points)
+    if grid.boundary == "periodic":
+        cols = scipy.fft.ifft(grid.kinetic_eigs[:, None] * scipy.fft.fft(eye, axis=0), axis=0)
+        return cols.real
+    return scipy.fft.idst(
+        grid.kinetic_eigs[:, None] * scipy.fft.dst(eye, type=1, norm="ortho", axis=0),
+        type=1,
+        norm="ortho",
+        axis=0,
+    )
+
+
+class TestKineticMatrix:
+    @pytest.mark.parametrize(
+        "n, boundary",
+        [(n, "box") for n in (8, 9, 128, 255, 1024)] + [(n, "periodic") for n in (8, 128, 1024)],
+    )
+    def test_matches_transform_of_identity(self, n, boundary):
+        grid = build_grid(n, 12.0, boundary)
+        dense = kinetic_matrix(grid)
+        expected = dense_kinetic_oracle(grid)
+        assert dense.shape == (n, n) and dense.dtype == np.float64
+        assert np.max(np.abs(dense - expected)) < 1e-13 * np.max(np.abs(expected))
+        assert np.array_equal(dense, dense.T)
+
+
 def dst_oracle(values):
     """Orthonormal DST-I through scipy's real transform, part by part."""
     re = scipy.fft.dst(values.real, type=1, norm="ortho")
