@@ -313,6 +313,14 @@ class TestSolveTrace:
         assert trace.imag_rejected == 0 and trace.final_dtau == 0.1
         assert trace.stop_reason == "round-off floor"
 
+    def test_counts_rejected_steps(self, trap_grid):
+        # A stiff trap: the first steps raise the energy and halve dtau.
+        state = solve_stationary(trap_grid, harmonic_potential(trap_grid, 3.0), u_tilde=0.0)
+        trace = state.trace
+        assert trace.imag_rejected > 0
+        assert trace.final_dtau < 0.1
+        assert trace.imag_steps == len(state.h1_history) - 2
+
     def test_exact_start_needs_no_newton(self, uniform_state):
         trace = uniform_state.trace
         assert trace.stop_reason == "tol reached in imaginary time"
