@@ -25,6 +25,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .bdg import assemble, build_phonon_basis, check_stability, diagonalize
@@ -152,7 +153,7 @@ SCHEMA = {
         "dt": (_parse_bounded_float(0, lo_open=True), 1e-3),
         "t_final": (_parse_bounded_float(0, lo_open=True), 10.0),
         "k_modes": (_parse_bounded_int(1), None),
-        "n_max_excited": (_parse_bounded_int(1, 60), None),
+        "n_max_excited": (_parse_bounded_int(1), None),
         "evolution": (_parse_choice(("gpe", "linear")), "gpe"),
     },
     "output": {
@@ -349,6 +350,8 @@ def write_meta(directory: Path, elapsed: float) -> None:
         "bogolib_version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "output_directory": str(directory.resolve()),
     }
     (directory / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -627,14 +630,15 @@ def run_fock_oracle(config: dict, out: OutputWriter) -> dict:
     phys = config["physics"]
     num = config["numerics"]
     n_particles = int(round(phys["n_particles"]))
-    spec = exact_fock_spectrum(
-        n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
-    )
-    report = compare_asymptotics(spec, phys["u"] * n_particles)
-    row = report.rows[0]
+    # The check's N and N-1 union is the larger basis, so its size guard
+    # runs before the spectrum is built.
     offblock = number_conservation_offblock(
         n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
     )
+    spec = exact_fock_spectrum(
+        n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
+    )
+    row = compare_asymptotics(spec, phys["u"] * n_particles).rows[0]
     out.csv(
         "sectors.csv",
         ["momentum_sector", "lowest_energy"],

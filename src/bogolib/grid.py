@@ -119,11 +119,6 @@ class ComplexField:
         return ComplexField(self.values.copy(), self.grid)
 
 
-def as_field(grid: Grid1D, values) -> ComplexField:
-    """Wrap raw values (broadcastable to the grid) as a ComplexField."""
-    return ComplexField(np.broadcast_to(values, (grid.n_points,)).astype(np.complex128), grid)
-
-
 def _check_same_grid(f: ComplexField, g: ComplexField) -> None:
     if f.grid is not g.grid and (
         f.grid.n_points != g.grid.n_points

@@ -15,8 +15,10 @@ from itertools import product
 import numpy as np
 import scipy.linalg
 
-from .errors import ConfigurationError, ResourceError
+from .errors import BogolibError, ConfigurationError, ResourceError
 
+# States in one assembled Fock basis: the spectrum's, or the N and N-1 union
+# of the number-conservation check.
 MAX_FOCK_STATES = 200_000
 
 
@@ -90,6 +92,15 @@ def sound_mode_energy(hc: HydroCoefficients) -> float:
 # Mode momenta in units of k: index 0 -> 0, 1 -> +1, 2 -> -1.
 _MODE_MOMENTA = (0, 1, -1)
 
+# The ordered momentum-conserving quartic terms a^dag_{i1} a^dag_{i2} a_{i3} a_{i4}
+# over the three modes (19 of them); with the kinetic diagonal they are the
+# whole Hamiltonian, each carrying the coupling u / (2 * volume).
+_QUARTIC_TERMS = tuple(
+    (i1, i2, i3, i4)
+    for i1, i2, i3, i4 in product(range(3), repeat=4)
+    if _MODE_MOMENTA[i1] + _MODE_MOMENTA[i2] == _MODE_MOMENTA[i3] + _MODE_MOMENTA[i4]
+)
+
 
 @dataclass(frozen=True)
 class FockSpectrum:
@@ -107,18 +118,6 @@ class FockSpectrum:
     sector_minima: dict
 
 
-def _enumerate_states(n_particles: int, cap: int) -> np.ndarray:
-    states = []
-    for n_plus in range(cap + 1):
-        for n_minus in range(cap + 1 - n_plus):
-            n0 = n_particles - n_plus - n_minus
-            if n0 < 0:
-                continue
-            assert n0 + n_plus + n_minus == n_particles
-            states.append((n0, n_plus, n_minus))
-    return np.asarray(states, dtype=np.int64)
-
-
 def _sector_states(n_particles: int, cap: int, s: int) -> np.ndarray:
     """States (n0, n+, n-) of momentum sector s = n+ - n-, ordered by j = min(n+, n-)."""
     j = np.arange((cap - abs(s)) // 2 + 1, dtype=np.int64)
@@ -127,19 +126,60 @@ def _sector_states(n_particles: int, cap: int, s: int) -> np.ndarray:
     return np.column_stack([n_particles - n_plus - n_minus, n_plus, n_minus])
 
 
-def _chain_entries(states: np.ndarray, omega_k: float, g2: float):
-    """Diagonal d and first off-diagonal e of one sector's chain.
+def _basis_size(cap: int) -> int:
+    """Number of states with a given total and n+ + n- <= ``cap``."""
+    return (cap + 1) * (cap + 2) // 2
 
-    The kinetic and density-density terms are diagonal; the pair exchange
-    a0^dag a0^dag a+ a- and its conjugate link j to j - 1 only.
+
+def _require_states(n_states: int) -> None:
+    if n_states > MAX_FOCK_STATES:
+        raise ResourceError(f"Fock basis has {n_states} states (limit {MAX_FOCK_STATES})")
+
+
+def _fock_basis(n_particles: int, cap: int):
+    """The sector chains s = -cap..cap stacked, and the offset of each."""
+    blocks = [_sector_states(n_particles, cap, s) for s in range(-cap, cap + 1)]
+    offsets = np.cumsum([0] + [len(b) for b in blocks])
+    return np.vstack(blocks), offsets
+
+
+def _hamiltonian_entries(states: np.ndarray, omega_k: float, g2: float):
+    """Entries (row, col, value) of H = omega_k (n+ + n-) + g2 * (sum of quartic terms).
+
+    ``states`` may mix different totals.  The kinetic diagonal comes
+    first; then each quartic term acts on every state in one numpy pass,
+    its targets looked up by ``searchsorted`` on the occupations encoded
+    as mixed-radix integers.  Zero amplitudes and targets outside the
+    basis are dropped; repeated (row, col) pairs are to be summed.
     """
-    n0, npl, nmi = states.T.astype(np.float64)
-    d = omega_k * (npl + nmi) + g2 * (
-        n0 * (n0 - 1) + npl * (npl - 1) + nmi * (nmi - 1)
-        + 4.0 * (n0 * npl + n0 * nmi + npl * nmi)
-    )
-    e = 2.0 * g2 * np.sqrt((n0[1:] + 1.0) * (n0[1:] + 2.0) * npl[1:] * nmi[1:])
-    return d, e
+    lo, hi = states.min(axis=0), states.max(axis=0)
+    radix = hi - lo + 1
+
+    def encode(occ):
+        digits = occ - lo
+        return (digits[:, 0] * radix[1] + digits[:, 1]) * radix[2] + digits[:, 2]
+
+    keys = encode(states)
+    order = np.argsort(keys)
+    keys = keys[order]
+    cols = np.arange(len(states))
+    rows_out, cols_out, vals_out = [cols], [cols], [omega_k * (states[:, 1] + states[:, 2])]
+    for i1, i2, i3, i4 in _QUARTIC_TERMS:
+        occ = states.copy()
+        amp = np.full(len(states), g2)
+        for down in (i4, i3):
+            amp *= np.sqrt(occ[:, down].clip(min=0))
+            occ[:, down] -= 1
+        for up in (i2, i1):
+            occ[:, up] += 1
+            amp *= np.sqrt(occ[:, up].clip(min=0))
+        target = encode(occ)
+        pos = np.searchsorted(keys, target).clip(max=len(keys) - 1)
+        hit = (amp != 0.0) & np.all((occ >= lo) & (occ <= hi), axis=1) & (keys[pos] == target)
+        rows_out.append(order[pos[hit]])
+        cols_out.append(cols[hit])
+        vals_out.append(amp[hit])
+    return np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out)
 
 
 def exact_fock_spectrum(
@@ -160,9 +200,11 @@ def exact_fock_spectrum(
     a chain in j = min(n+, n-): the kinetic and density-density terms are
     diagonal and the pair exchange links j only to j +- 1, so each sector
     is a symmetric tridiagonal matrix solved by ``eigvalsh_tridiagonal``.
+    The chains are read off the term-by-term entries, and any entry that
+    leaves them raises.
     """
-    if n_particles < 1 or n_particles > 60:
-        raise ConfigurationError("n_particles must be in 1..60")
+    if n_particles < 1:
+        raise ConfigurationError("n_particles must be at least 1")
     if n_max_excited < 1 or n_max_excited > n_particles:
         raise ConfigurationError("need 1 <= n_max_excited <= n_particles")
     if k_mode == 0:
@@ -171,21 +213,21 @@ def exact_fock_spectrum(
         raise ConfigurationError("u must be non-negative")
 
     cap = n_max_excited
-    sectors = range(-cap, cap + 1)
-    dimension = sum((cap - abs(s)) // 2 + 1 for s in sectors)
-    if dimension > MAX_FOCK_STATES:
-        raise ResourceError(
-            f"Fock basis has {dimension} states (limit {MAX_FOCK_STATES})"
-        )
-
-    omega_k = 0.5 * k_mode * k_mode
-    g2 = u / (2.0 * volume)
+    dimension = _basis_size(cap)
+    _require_states(dimension)
+    states, offsets = _fock_basis(n_particles, cap)
+    rows, cols, vals = _hamiltonian_entries(states, 0.5 * k_mode * k_mode, u / (2.0 * volume))
+    momentum = states[:, 1] - states[:, 2]
+    if np.any(momentum[rows] != momentum[cols]) or np.any(np.abs(rows - cols) > 1):
+        raise BogolibError("Fock Hamiltonian entry outside the sector chains")
+    diag, lower = rows == cols, rows == cols + 1
+    d = np.bincount(rows[diag], vals[diag], minlength=dimension)
+    e = np.bincount(cols[lower], vals[lower], minlength=dimension)  # e[i] = H[i+1, i]
 
     sector_minima = {}
     all_eigs = []
-    for s in sectors:
-        d, e = _chain_entries(_sector_states(n_particles, cap, s), omega_k, g2)
-        eigs = scipy.linalg.eigvalsh_tridiagonal(d, e) if e.size else d
+    for s, start, stop in zip(range(-cap, cap + 1), offsets[:-1], offsets[1:]):
+        eigs = scipy.linalg.eigvalsh_tridiagonal(d[start:stop], e[start:stop - 1])
         sector_minima[s] = float(eigs[0])
         all_eigs.append(eigs)
     all_eigs = np.sort(np.concatenate(all_eigs))
@@ -210,69 +252,24 @@ def exact_fock_spectrum(
     )
 
 
-def fock_hamiltonian_reference(
-    states: np.ndarray, omega_k: float, g2: float
-) -> np.ndarray:
-    """Readable term-by-term assembly used to cross-check the sector chains.
-
-    Applies every ordered momentum-conserving quartic term
-    a^dag_{i1} a^dag_{i2} a_{i3} a_{i4} over the three modes, plus the
-    kinetic term, to each basis state.  States may mix different totals;
-    particle-number conservation then shows up as exactly zero matrix
-    elements between different-total sectors.
-    """
-    index = {tuple(s): i for i, s in enumerate(np.asarray(states, dtype=np.int64))}
-    n_states = len(index)
-    h = np.zeros((n_states, n_states))
-
-    quartics = [
-        (i1, i2, i3, i4)
-        for i1, i2, i3, i4 in product(range(3), repeat=4)
-        if _MODE_MOMENTA[i1] + _MODE_MOMENTA[i2] == _MODE_MOMENTA[i3] + _MODE_MOMENTA[i4]
-    ]
-
-    for occ, col in index.items():
-        occ = np.asarray(occ, dtype=np.int64)
-        h[col, col] += omega_k * (occ[1] + occ[2])
-        for i1, i2, i3, i4 in quartics:
-            n = occ.astype(np.float64).copy()
-            amp = g2
-            # a_{i4}, a_{i3}, then a^dag_{i2}, a^dag_{i1}
-            for down in (i4, i3):
-                if n[down] <= 0:
-                    amp = 0.0
-                    break
-                amp *= np.sqrt(n[down])
-                n[down] -= 1
-            if amp == 0.0:
-                continue
-            for up in (i2, i1):
-                n[up] += 1
-                amp *= np.sqrt(n[up])
-            key = tuple(int(x) for x in n)
-            if key in index:
-                h[index[key], col] += amp
-    return h
-
-
 def number_conservation_offblock(
     n_particles: int, k_mode: float, u: float, volume: float, n_max_excited: int
 ) -> float:
     """Largest |matrix element| between sectors of different total number.
 
-    Assembles the Hamiltonian over the union of the N and N-1 particle
-    bases with the generic term-by-term applier and returns the maximum
-    magnitude in the cross blocks (identically zero when the Hamiltonian
-    conserves the total).
+    Applies the term-by-term Hamiltonian to the union of the N and N-1
+    particle bases and returns the largest magnitude among the entries
+    whose row and column totals differ (identically zero when the
+    Hamiltonian conserves the total).
     """
+    if n_particles < 1:
+        raise ConfigurationError("n_particles must be at least 1")
     cap = min(n_max_excited, n_particles - 1)
-    states_n = _enumerate_states(n_particles, cap)
-    states_m = _enumerate_states(n_particles - 1, cap)
-    union = np.vstack([states_n, states_m])
-    h = fock_hamiltonian_reference(union, 0.5 * k_mode**2, u / (2.0 * volume))
-    n_top = states_n.shape[0]
-    cross = h[:n_top, n_top:]
-    return float(np.max(np.abs(cross)))
+    _require_states(2 * _basis_size(cap))
+    union = np.vstack([_fock_basis(n_particles, cap)[0], _fock_basis(n_particles - 1, cap)[0]])
+    rows, cols, vals = _hamiltonian_entries(union, 0.5 * k_mode**2, u / (2.0 * volume))
+    totals = union.sum(axis=1)
+    return float(np.max(np.abs(vals[totals[rows] != totals[cols]]), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import scipy
 
 from bogolib.cli import OUTPUT_DIR_ENV, main
 from bogolib.errors import (
@@ -192,6 +193,29 @@ class TestRun:
         assert main(["run", path]) == 0
         assert (override / "summary.json").exists()
         assert not (tmp_path / "ignored").exists()
+        meta = json.loads((override / "run_meta.json").read_text())
+        assert meta["output_directory"] == str(override.resolve())
+
+    def test_run_meta_records_output_directory_and_scipy(self, tmp_path):
+        outdir = tmp_path / "out"
+        path = write_config(tmp_path, FOCK, outdir=outdir)
+        assert main(["run", path]) == 0
+        meta = json.loads((outdir / "run_meta.json").read_text())
+        assert meta["output_directory"] == str(outdir.resolve())
+        assert meta["scipy"] == scipy.__version__
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert "output_directory" not in json.dumps(summary)
+
+    def test_fock_oracle_beyond_sixty_particles(self, tmp_path):
+        cfg = FOCK.replace("n_particles = 20", "n_particles = 100").replace(
+            "n_max_excited = 20", "n_max_excited = 100"
+        ).replace("u = 0.05", "u = 0.01")
+        outdir = tmp_path / "out"
+        path = write_config(tmp_path, cfg, outdir=outdir)
+        assert main(["run", path]) == 0
+        results = json.loads((outdir / "summary.json").read_text())["results"]
+        assert results["dimension"] == 5151
+        assert results["number_conservation_offblock"] == 0.0
 
     def test_json_only_format_skips_csv(self, tmp_path):
         cfg = FOCK.replace("directory = {outdir}", "directory = {outdir}\nformats = json")
@@ -267,6 +291,13 @@ class TestExitCodes:
         assert ConvergenceError("x").exit_code == 3
         assert InstabilityError("x").exit_code == 4
         assert ResourceError("x").exit_code == 5
+
+    def test_fock_state_limit_exit_code(self, tmp_path, monkeypatch):
+        import bogolib.homogeneous as homogeneous
+
+        monkeypatch.setattr(homogeneous, "MAX_FOCK_STATES", 100)
+        path = write_config(tmp_path, FOCK, outdir=tmp_path / "out")
+        assert main(["run", path]) == 5
 
     def test_nonconvergence_exit_code(self, tmp_path):
         cfg = STATIONARY_LINEAR.replace(

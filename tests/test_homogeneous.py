@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,23 +7,84 @@ from hypothesis import strategies as st
 
 import bogolib.homogeneous as homogeneous
 from bogolib.bdg import assemble, diagonalize, plane_wave_basis
-from bogolib.errors import ConfigurationError, ResourceError
+from bogolib.errors import BogolibError, ConfigurationError, ResourceError
 from bogolib.gpe import solve_stationary, zero_potential
 from bogolib.grid import build_grid
 from bogolib.homogeneous import (
-    _chain_entries,
-    _enumerate_states,
+    _basis_size,
+    _fock_basis,
+    _hamiltonian_entries,
     _sector_states,
     bogoliubov_dispersion,
     compare_asymptotics,
     exact_fock_spectrum,
-    fock_hamiltonian_reference,
     hydro_coefficients,
     number_conservation_offblock,
     sound_mode_energy,
 )
 
 TWO_PI = 2.0 * np.pi
+
+# Mode momenta in units of k: index 0 -> 0, 1 -> +1, 2 -> -1.
+_MODE_MOMENTA = (0, 1, -1)
+
+
+def fock_hamiltonian_reference(
+    states: np.ndarray, omega_k: float, g2: float
+) -> np.ndarray:
+    """Readable term-by-term assembly used to cross-check the sector chains.
+
+    Applies every ordered momentum-conserving quartic term
+    a^dag_{i1} a^dag_{i2} a_{i3} a_{i4} over the three modes, plus the
+    kinetic term, to each basis state.  States may mix different totals;
+    particle-number conservation then shows up as exactly zero matrix
+    elements between different-total sectors.
+    """
+    index = {tuple(s): i for i, s in enumerate(np.asarray(states, dtype=np.int64))}
+    n_states = len(index)
+    h = np.zeros((n_states, n_states))
+
+    quartics = [
+        (i1, i2, i3, i4)
+        for i1, i2, i3, i4 in product(range(3), repeat=4)
+        if _MODE_MOMENTA[i1] + _MODE_MOMENTA[i2] == _MODE_MOMENTA[i3] + _MODE_MOMENTA[i4]
+    ]
+
+    for occ, col in index.items():
+        occ = np.asarray(occ, dtype=np.int64)
+        h[col, col] += omega_k * (occ[1] + occ[2])
+        for i1, i2, i3, i4 in quartics:
+            n = occ.astype(np.float64).copy()
+            amp = g2
+            # a_{i4}, a_{i3}, then a^dag_{i2}, a^dag_{i1}
+            for down in (i4, i3):
+                if n[down] <= 0:
+                    amp = 0.0
+                    break
+                amp *= np.sqrt(n[down])
+                n[down] -= 1
+            if amp == 0.0:
+                continue
+            for up in (i2, i1):
+                n[up] += 1
+                amp *= np.sqrt(n[up])
+            key = tuple(int(x) for x in n)
+            if key in index:
+                h[index[key], col] += amp
+    return h
+
+
+def dense_from_entries(states, omega_k, g2):
+    """The applier's (row, col, value) entries summed into a dense matrix."""
+    rows, cols, vals = _hamiltonian_entries(states, omega_k, g2)
+    h = np.zeros((len(states), len(states)))
+    np.add.at(h, (rows, cols), vals)
+    return h
+
+
+def mixed_basis(n_particles, cap):
+    """The N and N-1 particle bases stacked, as number_conservation_offblock builds them."""
+    return np.vstack([_fock_basis(n_particles, cap)[0], _fock_basis(n_particles - 1, cap)[0]])
 
 
 class TestDispersion:
@@ -128,29 +191,51 @@ class TestFockOracle:
         assert spec.sector_minima[0] == pytest.approx(hand[0], abs=1e-14)
 
     def test_every_state_has_fixed_total(self):
-        states = _enumerate_states(12, 7)
+        states, offsets = _fock_basis(12, 7)
         assert np.all(states.sum(axis=1) == 12)
         assert np.all(states >= 0)
+        assert np.all(states[:, 1] + states[:, 2] <= 7)
+        assert len({tuple(st) for st in states}) == len(states) == _basis_size(7) == offsets[-1]
 
     def test_reference_sectors_are_tridiagonal_chains(self):
         # Restricted to one momentum sector and ordered by j = min(n+, n-),
-        # the term-by-term Hamiltonian is exactly tridiagonal and equals
-        # the chain (d, e) that exact_fock_spectrum diagonalizes.
+        # the term-by-term Hamiltonian is exactly tridiagonal; the applier's
+        # entries reproduce it, and they too stay on the sector chains.
         for n_particles, cap, omega_k, g2 in ((6, 6, 0.5, 0.15), (13, 9, 2.0, 0.07), (20, 20, 0.5, 1.3)):
-            states = _enumerate_states(n_particles, cap)
+            states, offsets = _fock_basis(n_particles, cap)
             ref = fock_hamiltonian_reference(states, omega_k, g2)
-            row = {tuple(st): i for i, st in enumerate(states)}
-            for s in range(-cap, cap + 1):
-                chain = _sector_states(n_particles, cap, s)
-                idx = [row[tuple(st)] for st in chain]
-                block = ref[np.ix_(idx, idx)]
+            assert np.max(np.abs(dense_from_entries(states, omega_k, g2) - ref)) < 1e-12
+            for start, stop in zip(offsets[:-1], offsets[1:]):
+                block = ref[start:stop, start:stop]
                 assert np.all(np.triu(block, 2) == 0.0)
                 assert np.all(np.tril(block, -2) == 0.0)
-                d, e = _chain_entries(chain, omega_k, g2)
-                assert np.max(np.abs(np.diag(block) - d)) < 1e-12
-                if e.size:
-                    assert np.max(np.abs(np.diag(block, 1) - e)) < 1e-12
-                    assert np.max(np.abs(np.diag(block, -1) - e)) < 1e-12
+                assert np.all(ref[start:stop, :start] == 0.0)
+                assert np.all(ref[start:stop, stop:] == 0.0)
+            rows, cols, _ = _hamiltonian_entries(states, omega_k, g2)
+            assert np.all(np.abs(rows - cols) <= 1)
+
+    @pytest.mark.parametrize(
+        "n_particles, cap", [(3, 1), (3, 2), (8, 2), (8, 5), (8, 7), (13, 4), (13, 12)]
+    )
+    def test_applier_matches_reference_on_mixed_totals(self, n_particles, cap):
+        # On the N and N-1 bases stacked, every entry (cross blocks
+        # included) equals the term-by-term loop's.
+        states = mixed_basis(n_particles, cap)
+        for omega_k, g2 in ((0.5, 0.15), (2.0, 1.3)):
+            ref = fock_hamiltonian_reference(states, omega_k, g2)
+            dense = dense_from_entries(states, omega_k, g2)
+            assert np.max(np.abs(dense - ref)) <= 1e-12
+            n_top = _basis_size(cap)
+            assert np.all(dense[:n_top, n_top:] == 0.0)
+            assert np.all(dense[n_top:, :n_top] == 0.0)
+
+    def test_entry_off_the_chains_raises(self, monkeypatch):
+        # a^dag_0 a^dag_0 a_0 a_+ changes the momentum: it leaves the sector.
+        monkeypatch.setattr(
+            homogeneous, "_QUARTIC_TERMS", homogeneous._QUARTIC_TERMS + ((0, 0, 0, 1),)
+        )
+        with pytest.raises(BogolibError, match="outside the sector chains"):
+            exact_fock_spectrum(6, 1.0, 0.2, 1.0, 6)
 
     @pytest.mark.parametrize(
         "n_particles, cap, u",
@@ -158,7 +243,7 @@ class TestFockOracle:
     )
     def test_chain_spectrum_matches_dense_reference(self, n_particles, cap, u):
         spec = exact_fock_spectrum(n_particles, 1.0, u, 1.0, cap)
-        states = _enumerate_states(n_particles, cap)
+        states, _ = _fock_basis(n_particles, cap)
         ref = fock_hamiltonian_reference(states, 0.5, u / 2.0)
         sectors = states[:, 1] - states[:, 2]
         dense = {}
@@ -176,6 +261,30 @@ class TestFockOracle:
 
     def test_number_conservation_offblock_zero(self):
         assert number_conservation_offblock(8, 1.0, 0.2, 1.0, 8) == 0.0
+
+    def test_offblock_reports_a_number_changing_entry(self, monkeypatch):
+        # An entry from an N-1 state to an N state is what the check is
+        # for; a planted one is reported at its magnitude.
+        applier = homogeneous._hamiltonian_entries
+
+        def planted(states, omega_k, g2):
+            rows, cols, vals = applier(states, omega_k, g2)
+            top = int(np.argmax(states.sum(axis=1)))
+            bottom = int(np.argmin(states.sum(axis=1)))
+            return np.append(rows, top), np.append(cols, bottom), np.append(vals, -0.75)
+
+        monkeypatch.setattr(homogeneous, "_hamiltonian_entries", planted)
+        assert number_conservation_offblock(8, 1.0, 0.2, 1.0, 8) == 0.75
+
+    def test_gap_law_to_n_320(self):
+        # Gap error ~ 1/N at fixed u_tilde = u N, over three doublings.
+        u_tilde = 1.0
+        spectra = [exact_fock_spectrum(n, 1.0, u_tilde / n, 1.0, n) for n in (40, 80, 160, 320)]
+        report = compare_asymptotics(spectra, u_tilde)
+        errs = [row.gap_error for row in report.rows]
+        for a, b in zip(errs, errs[1:]):
+            assert 1.75 <= a / b <= 2.05
+        assert 0.9 <= report.fitted_power <= 1.05
 
     def test_gap_error_shrinks_with_n(self):
         u_tilde = 1.0
@@ -220,16 +329,33 @@ class TestFockOracle:
 
     def test_parameter_validation(self):
         with pytest.raises(ConfigurationError):
-            exact_fock_spectrum(61, 1.0, 0.1, 1.0, 10)
+            exact_fock_spectrum(0, 1.0, 0.1, 1.0, 1)
+        with pytest.raises(ConfigurationError):
+            number_conservation_offblock(0, 1.0, 0.1, 1.0, 1)
         with pytest.raises(ConfigurationError):
             exact_fock_spectrum(10, 1.0, 0.1, 1.0, 11)
         with pytest.raises(ConfigurationError):
             exact_fock_spectrum(10, 0.0, 0.1, 1.0, 10)
 
+    def test_particle_number_is_not_capped(self):
+        spec = exact_fock_spectrum(61, 1.0, 0.1, 1.0, 10)
+        assert spec.dimension == _basis_size(10)
+
     def test_resource_guard(self, monkeypatch):
         monkeypatch.setattr(homogeneous, "MAX_FOCK_STATES", 10)
         with pytest.raises(ResourceError):
             exact_fock_spectrum(30, 1.0, 0.1, 1.0, 30)
+
+    def test_offblock_resource_guard_before_building(self, monkeypatch):
+        # The N and N-1 union has 2 * _basis_size(cap) states; one over the
+        # limit raises before any basis is built.
+        def no_build(*args):
+            raise AssertionError("basis built before the size guard")
+
+        monkeypatch.setattr(homogeneous, "MAX_FOCK_STATES", 2 * _basis_size(7) - 1)
+        monkeypatch.setattr(homogeneous, "_fock_basis", no_build)
+        with pytest.raises(ResourceError, match="limit"):
+            number_conservation_offblock(8, 1.0, 0.2, 1.0, 8)
 
     def test_mismatched_u_tilde_rejected(self):
         spec = exact_fock_spectrum(10, 1.0, 0.1, 1.0, 10)
@@ -239,11 +365,19 @@ class TestFockOracle:
     def test_index_map_roundtrip(self):
         # Every basis state sits in exactly one sector chain, at position
         # j = min(n+, n-) of sector s = n+ - n-.
-        states = _enumerate_states(9, 5)
+        states = {
+            (9 - n_plus - n_minus, n_plus, n_minus)
+            for n_plus in range(6)
+            for n_minus in range(6 - n_plus)
+        }
         chained = {}
         for s in range(-5, 6):
             for j, st in enumerate(_sector_states(9, 5, s)):
                 assert st[1] - st[2] == s and min(st[1], st[2]) == j
-                chained[tuple(st)] = (s, j)
-        assert set(chained) == {tuple(st) for st in states}
-        assert len(chained) == states.shape[0]
+                chained[tuple(int(x) for x in st)] = (s, j)
+        assert set(chained) == states
+        assert len(chained) == len(states)
+        stacked, offsets = _fock_basis(9, 5)
+        assert [chained[tuple(int(x) for x in st)][0] for st in stacked] == list(
+            np.repeat(np.arange(-5, 6), np.diff(offsets))
+        )
