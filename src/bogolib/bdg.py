@@ -41,7 +41,7 @@ from .errors import (
     InstabilityError,
 )
 from .gpe import CondensateState
-from .grid import ComplexField, Grid1D, _kinetic_values, kinetic_matrix
+from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values, kinetic_matrix
 
 POSITIVE_NORM_THRESHOLD = 1e-8
 REALITY_TOLERANCE = 1e-9
@@ -192,8 +192,7 @@ def assemble_from_fields(
 
 def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian:
     """Quadratic Hamiltonian of a converged stationary state."""
-    if basis.grid.n_points != state.grid.n_points:
-        raise DimensionMismatchError("basis and state grids differ")
+    _check_same_grid(basis.grid, state.grid)
     return assemble_from_fields(
         state.xi.values, basis, state.potential.values.real, state.u_tilde, state.mu
     )

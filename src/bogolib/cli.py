@@ -536,11 +536,11 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
         ),
     )
     return {
-        "max_norm_drift": float(np.max(np.abs(traj.norm_t - 1.0))),
+        "max_norm_drift": traj.max_norm_drift,
         "max_h1_drift": float(np.max(np.abs(traj.h1_t - traj.h1_t[0]))),
         "max_mismatch": float(max(d.mismatch for d in diagnostics)),
-        "max_gram_deviation": float(np.max(traj.gram_t)),
-        "max_condensate_overlap": float(np.max(traj.overlap_t)),
+        "max_gram_deviation": traj.max_gram_deviation,
+        "max_condensate_overlap": traj.max_overlap,
         "max_mu_form_deviation": float(mu_rate_dev),
         "evolution": num["evolution"],
     }

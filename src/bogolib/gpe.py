@@ -46,8 +46,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.fft
 
-from .errors import ConfigurationError, ConvergenceError, DimensionMismatchError
-from .grid import ComplexField, Grid1D, _kinetic_values
+from .errors import ConfigurationError, ConvergenceError
+from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bdg import PhononBasis
@@ -148,8 +148,7 @@ def apply_gp_operator(
 
 
 def _check_potential(grid: Grid1D, potential: ComplexField) -> np.ndarray:
-    if potential.grid.n_points != grid.n_points or potential.grid.boundary != grid.boundary:
-        raise DimensionMismatchError("potential grid does not match")
+    _check_same_grid(potential.grid, grid)
     if np.max(np.abs(potential.values.imag)) > 0:
         raise ConfigurationError("potential must be real-valued")
     return potential.values.real
@@ -424,8 +423,7 @@ def h2_coefficients(state: CondensateState, basis: "PhononBasis") -> np.ndarray:
     stationary state the whole vector vanishes to solver accuracy because
     the basis is orthogonal to xi.
     """
-    if basis.condensate.grid.n_points != state.grid.n_points:
-        raise DimensionMismatchError("basis grid does not match state grid")
+    _check_same_grid(basis.grid, state.grid)
     gp = apply_gp_operator(
         state.grid, state.potential.values.real, state.u_tilde, state.xi.values
     )

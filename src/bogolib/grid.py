@@ -119,18 +119,14 @@ class ComplexField:
         return ComplexField(self.values.copy(), self.grid)
 
 
-def _check_same_grid(f: ComplexField, g: ComplexField) -> None:
-    if f.grid is not g.grid and (
-        f.grid.n_points != g.grid.n_points
-        or f.grid.length != g.grid.length
-        or f.grid.boundary != g.grid.boundary
-    ):
-        raise DimensionMismatchError("fields live on different grids")
+def _check_same_grid(a: Grid1D, b: Grid1D) -> None:
+    if a is not b and (a.n_points, a.length, a.boundary) != (b.n_points, b.length, b.boundary):
+        raise DimensionMismatchError("operands live on different grids")
 
 
 def inner_product(f: ComplexField, g: ComplexField) -> complex:
     """Quadrature of integral conj(f) g dx; conjugate-linear in ``f``."""
-    _check_same_grid(f, g)
+    _check_same_grid(f.grid, g.grid)
     return complex(np.vdot(f.values, g.values) * f.grid.dx)
 
 
@@ -220,13 +216,13 @@ def orthonormalize(
     grid = fields[0].grid
     basis: list[np.ndarray] = []
     if against is not None:
-        _check_same_grid(against, fields[0])
+        _check_same_grid(against.grid, grid)
         a = against.values / np.sqrt(np.vdot(against.values, against.values).real * grid.dx)
         basis.append(a)
 
     out: list[ComplexField] = []
     for idx, f in enumerate(fields):
-        _check_same_grid(fields[0], f)
+        _check_same_grid(grid, f.grid)
         v = f.values.astype(np.complex128, copy=True)
         for _ in range(2):  # second pass controls round-off amplification
             for b in basis:

@@ -1,23 +1,30 @@
 """Time-dependent condensate dynamics and the expansion-validity diagnostic.
 
-The condensate is evolved by a second-order symmetric split step of
+The condensate is evolved by a second-order symmetric (Strang) split step of
 
     i dxi/dt = -1/2 xi'' + V(t) xi + u_tilde |xi|^2 xi        (gauge: no
     extra chemical-potential phase), with no renormalization -- norm
     drift is a measured diagnostic, not an enforced constraint.
+
+The loop runs in the grid's orthonormal spectral basis S (DST-I on a box,
+the unitary FFT on a periodic grid).  With D = exp(-i dt lambda/2) the
+kinetic half step and N_j the potential and nonlinear phase at t_j + dt/2,
+it carries chi_j = D S psi_j, so a step chi_{j+1} = D^2 S N_j S^-1 chi_j
+takes two transforms; psi_j = S^-1 D* chi_j is formed only at stored steps.
 
 Mode functions ride along via
 
     dxi_k/dt = xi_k <xi, dxi/dt> - xi <dxi/dt, xi_k>,
 
 which parallel-transports the complement of xi, times the common phase
-exp(int <xi, dxi/dt> dt).  Each split step xi(t) -> xi(t + dt) moves the
-modes by the rank-1 unitary map that carries the complement of xi(t)
-exactly onto that of xi(t + dt) (the parallel-transport gauge of Jia,
-An, Wang & Lin, J. Chem. Theory Comput. 14, 5645 (2018)).  It needs only
-the two condensate values, no right-hand side, and is second order in
-dt.  Orthonormality and orthogonality to the condensate hold to
-round-off; both are measured at every snapshot, not repaired.
+exp(int <xi, dxi/dt> dt).  Each step moves the modes by the rank-1 unitary
+map that carries the complement of xi(t) exactly onto that of xi(t + dt)
+(the parallel-transport gauge of Jia, An, Wang & Lin, J. Chem. Theory
+Comput. 14, 5645 (2018)): second order in dt, built from the two condensate
+values alone, and made of inner products, which S keeps, so the modes are
+carried as spectral coefficients too.  Orthonormality and orthogonality to
+the condensate hold to round-off; both are measured at every snapshot, not
+repaired.
 
 The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
@@ -31,6 +38,7 @@ numerical motion rather than an algebraic identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -38,9 +46,9 @@ import scipy.fft
 import scipy.linalg
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
-from .errors import ConfigurationError, DimensionMismatchError, IntegratorError
+from .errors import ConfigurationError, IntegratorError
 from .gpe import CondensateState, _quadrature_mu_h1, apply_gp_operator
-from .grid import ComplexField, Grid1D, _sine_transform, inner_product
+from .grid import ComplexField, Grid1D, _check_same_grid, _sine_transform, inner_product, norm
 
 EVOLUTIONS = ("gpe", "linear")
 
@@ -118,6 +126,7 @@ class Trajectory:
     u_tilde: float
     dt: float
     stride: int
+    n_steps: int
     evolution: str
     potential_of_t: Callable[[float], np.ndarray]
     n_particles: float
@@ -133,6 +142,18 @@ class Trajectory:
     @property
     def n_snapshots(self) -> int:
         return len(self.xi_t)
+
+    @property
+    def max_norm_drift(self) -> float:
+        return float(np.max(np.abs(self.norm_t - 1.0)))
+
+    @property
+    def max_gram_deviation(self) -> float | None:
+        return None if self.gram_t is None else float(np.max(self.gram_t))
+
+    @property
+    def max_overlap(self) -> float | None:
+        return None if self.overlap_t is None else float(np.max(self.overlap_t))
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,29 +175,6 @@ def _fd_first_derivative_weights(offsets: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve(vander, rhs)
 
 
-def _stepper(grid: Grid1D, dt: float, u_eff: float, potential_of_t):
-    """One symmetric split step psi(t) -> psi(t + dt)."""
-    exp_half = np.exp(-0.5j * dt * grid.kinetic_eigs)
-
-    if grid.boundary == "periodic":
-
-        def kinetic_half(values):
-            return scipy.fft.ifft(exp_half * scipy.fft.fft(values))
-
-    else:
-
-        def kinetic_half(values):
-            return _sine_transform(exp_half * _sine_transform(values))
-
-    def step(values, t):
-        out = kinetic_half(values)
-        w = potential_of_t(t + 0.5 * dt) + u_eff * np.abs(out) ** 2
-        out = out * np.exp(-1j * dt * w)
-        return kinetic_half(out)
-
-    return step
-
-
 def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -> complex:
     """Carry the rows of phi from the complement of psi0 to that of psi1, in place.
 
@@ -186,7 +184,8 @@ def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -
     that only multiplies xi by a phase) phi stays.  The common phase a/|a|
     is returned, not applied, so the caller keeps it as one scalar.
     Normalizing first matters: a norm error of order eps in psi0 or psi1,
-    divided by s ~ dt, would tilt w toward e0.
+    divided by s ~ dt, would tilt w toward e0.  The update is one BLAS zgeru on
+    phi.T, in place only for a writable C-contiguous complex128 phi (else TypeError).
     """
     e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
     e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
@@ -196,7 +195,12 @@ def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -
     phase = a / abs(a)
     if s > 0.0:
         w = r / s
-        phi += np.outer(phi @ w.conj() * dx, (abs(a) - 1.0) * w - s * phase * e0)
+        target = phi.T
+        # zgeru would write even into a read-only block, so that is refused first.
+        if not phi.flags.writeable or scipy.linalg.blas.zgeru(
+            1.0, (abs(a) - 1.0) * w - s * phase * e0, phi @ w.conj() * dx, a=target, overwrite_a=1
+        ) is not target:
+            raise TypeError("mode block must be a writable C-contiguous complex128 array")
     return phase
 
 
@@ -212,48 +216,58 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     if stride < 1:
         raise ConfigurationError("stride must be >= 1")
     dx = grid.dx
+    to_spec = from_spec = _sine_transform
+    if grid.boundary == "periodic":
+        to_spec = partial(scipy.fft.fft, norm="ortho")
+        from_spec = partial(scipy.fft.ifft, norm="ortho")
     if basis is not None:
-        if basis.grid.n_points != grid.n_points:
-            raise DimensionMismatchError("basis grid does not match trajectory")
+        _check_same_grid(basis.grid, grid)
         phi = basis.mode_matrix.astype(np.complex128)
         if np.max(np.abs(phi.conj() @ phi.T * dx - np.eye(basis.K))) > 1e-8:
             raise ConfigurationError("initial basis is not orthonormal")
         if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
             raise ConfigurationError("initial basis is not orthogonal to the condensate")
+        phi = np.ascontiguousarray(to_spec(phi))
         phase = 1.0
-    step = _stepper(grid, dt, u_tilde if evolution == "gpe" else 0.0, pot)
+    u_eff = u_tilde if evolution == "gpe" else 0.0
+    half = np.exp(-0.5j * dt * grid.kinetic_eigs)
+    full, back = half * half, half.conj()
 
     snapshot_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
     # Fine-step window [lo, lo+4] carrying each snapshot's derivative stencil.
     stencil_lo = {j: min(max(j - 2, 0), n_steps - 4) for j in snapshot_steps}
     needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
-    states: dict[int, np.ndarray] = {}
+    states: dict[int, np.ndarray] = {0: xi0.copy()}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t = [], [], [], [], [], [], []
-    psi = xi0.copy()
+    spec = to_spec(xi0)
+    chi = half * spec
     for j in range(n_steps + 1):
         if j > 0:
-            psi_prev, psi = psi, step(psi, (j - 1) * dt)
+            mid = from_spec(chi)
+            w = pot((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
+            chi = full * to_spec(mid * np.exp(-1j * dt * w))
             if basis is not None:
-                phase *= _transport(phi, psi_prev, psi, dx)
-        if j in needed:
-            states[j] = psi.copy()
+                spec_prev, spec = spec, back * chi
+                phase *= _transport(phi, spec_prev, spec, dx)
+            if j in needed:
+                states[j] = from_spec(back * chi)
         if j not in stencil_lo:
             continue
         t = j * dt
         xi = ComplexField(states[j], grid)
-        nrm = float(np.sqrt(np.vdot(psi, psi).real * dx))
+        nrm = norm(xi)
         if abs(nrm - 1.0) > 1e-6:
             raise IntegratorError(f"norm drifted to {nrm} at t = {t}; reduce dt")
-        mu, h1, _ = _quadrature_mu_h1(grid, pot(t), u_tilde, psi)
+        mu, h1, _ = _quadrature_mu_h1(grid, pot(t), u_tilde, xi.values)
         xi_t.append(xi)
         mu_t.append(mu)
         h1_t.append(h1)
         norm_t.append(nrm)
         if basis is not None:
-            modes = phase * phi
+            modes = phase * from_spec(phi)
             gram_dev = float(np.max(np.abs(modes.conj() @ modes.T * dx - np.eye(basis.K))))
-            ovl = float(np.max(np.abs(modes.conj() @ psi * dx)))
+            ovl = float(np.max(np.abs(modes.conj() @ xi.values * dx)))
             if gram_dev > 1e-6 or ovl > 1e-6:
                 raise IntegratorError(
                     f"mode orthonormality drift {gram_dev:.2e} / overlap {ovl:.2e} "
@@ -279,6 +293,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         u_tilde=u_tilde,
         dt=dt,
         stride=stride,
+        n_steps=n_steps,
         evolution=evolution,
         potential_of_t=pot,
         n_particles=n_particles,
@@ -315,6 +330,8 @@ def propagate(
     ------
     ConfigurationError
         If the basis is not orthonormal or not orthogonal to the condensate.
+    DimensionMismatchError
+        If the basis lives on another grid (n_points, length or boundary).
     IntegratorError
         If the norm, the mode orthonormality or the mode-condensate overlap
         drifts beyond 1e-6 at any stored time.

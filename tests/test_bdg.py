@@ -15,7 +15,7 @@ from bogolib.bdg import (
     plane_wave_basis,
 )
 from bogolib.errors import ConfigurationError, DimensionMismatchError, InstabilityError
-from bogolib.gpe import solve_stationary, zero_potential
+from bogolib.gpe import h2_coefficients, solve_stationary, zero_potential
 from bogolib.grid import ComplexField, build_grid, inner_product, kinetic_matrix, orthonormalize
 from bogolib.homogeneous import bogoliubov_dispersion
 
@@ -132,6 +132,21 @@ class TestAssemble:
         qh = assemble(state, basis)
         assert np.max(np.abs(qh.m_matrix - qh.m_matrix.conj().T)) < 1e-12
         assert np.max(np.abs(qh.g_matrix - qh.g_matrix.T)) < 1e-12
+
+
+    def test_grid_checks_compare_length_and_boundary(self, uniform_state, uniform_grid):
+        # Grids with the same n_points as the state's, but another boundary
+        # or another length.
+        n, length = uniform_grid.n_points, uniform_grid.length
+        for grid in (build_grid(n, length, "box"), build_grid(n, 2 * length, "periodic")):
+            other = solve_stationary(grid, zero_potential(grid), u_tilde=2.0)
+            basis = build_phonon_basis(other, 4)
+            with pytest.raises(DimensionMismatchError):
+                assemble(uniform_state, basis)
+            with pytest.raises(DimensionMismatchError):
+                h2_coefficients(uniform_state, basis)
+            with pytest.raises(DimensionMismatchError):
+                solve_stationary(uniform_grid, zero_potential(grid), u_tilde=2.0)
 
 
 class TestDiagonalize:

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from bogolib import tdgpe
 from bogolib.bdg import PhononBasis, build_phonon_basis
-from bogolib.errors import ConfigurationError, IntegratorError
+from bogolib.errors import ConfigurationError, DimensionMismatchError, IntegratorError
 from bogolib.gpe import CondensateState, apply_gp_operator, harmonic_potential, solve_stationary
-from bogolib.grid import ComplexField, build_grid, inner_product, orthonormalize
+from bogolib.grid import ComplexField, _sine_transform, build_grid, inner_product, orthonormalize
 from bogolib.tdgpe import (
     TrapQuench,
     TrapRamp,
-    _stepper,
+    _transport,
     center_of_mass,
     h3_of_t,
     hr_diagnostic,
@@ -65,6 +66,73 @@ def mode_diagnostics(traj):
     return max(gram_devs), max(overlaps)
 
 
+def reference_stepper(grid, dt, u_eff, potential_of_t):
+    """One symmetric split step psi(t) -> psi(t + dt), four transforms a step.
+
+    The plain real-space Strang step that the library's spectral loop
+    rewrites; kept as its oracle.
+    """
+    exp_half = np.exp(-0.5j * dt * grid.kinetic_eigs)
+
+    if grid.boundary == "periodic":
+
+        def kinetic_half(values):
+            return scipy.fft.ifft(exp_half * scipy.fft.fft(values))
+
+    else:
+
+        def kinetic_half(values):
+            return _sine_transform(exp_half * _sine_transform(values))
+
+    def step(values, t):
+        out = kinetic_half(values)
+        w = potential_of_t(t + 0.5 * dt) + u_eff * np.abs(out) ** 2
+        out = out * np.exp(-1j * dt * w)
+        return kinetic_half(out)
+
+    return step
+
+
+def reference_transport(phi, psi0, psi1, dx):
+    """The parallel-transport map written out with an explicit outer product.
+
+    Returns the carried block and the common phase; ``phi`` is not touched.
+    """
+    e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
+    e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
+    a = np.vdot(e0, e1) * dx
+    r = e1 - a * e0
+    s = np.sqrt(np.vdot(r, r).real * dx)
+    phase = a / abs(a)
+    if s == 0.0:
+        return phi.copy(), phase
+    w = r / s
+    return phi + np.outer(phi @ w.conj() * dx, (abs(a) - 1.0) * w - s * phase * e0), phase
+
+
+def reference_one_pass(traj, basis):
+    """The real-space loop: reference steps, with the modes carried in real space.
+
+    Returns every fine-step condensate value and the modes at each stored time.
+    """
+    grid, dt, dx = traj.grid, traj.dt, traj.grid.dx
+    u_eff = traj.u_tilde if traj.evolution == "gpe" else 0.0
+    step = reference_stepper(grid, dt, u_eff, traj.potential_of_t)
+    snapshot_steps = {int(round(t / dt)) for t in traj.times}
+    psi = traj.xi_t[0].values.copy()
+    phi, phase = basis.mode_matrix.astype(np.complex128), 1.0
+    states, modes = [psi], [phi.copy()]
+    for j in range(1, traj.n_steps + 1):
+        psi_next = step(psi, (j - 1) * dt)
+        phi, step_phase = reference_transport(phi, psi, psi_next, dx)
+        phase *= step_phase
+        psi = psi_next
+        states.append(psi)
+        if j in snapshot_steps:
+            modes.append(phase * phi)
+    return states, modes
+
+
 def reference_mode_propagation(traj, basis):
     """Two-stage Heun loop for the paper's mode equation, re-stepping the condensate.
 
@@ -77,7 +145,7 @@ def reference_mode_propagation(traj, basis):
     grid, dt, dx = traj.grid, traj.dt, traj.grid.dx
     u_eff = traj.u_tilde if traj.evolution == "gpe" else 0.0
     pot = traj.potential_of_t
-    step = _stepper(grid, dt, u_eff, pot)
+    step = reference_stepper(grid, dt, u_eff, pot)
 
     def rhs(values, t):
         return -1j * apply_gp_operator(grid, pot(t), u_eff, values)
@@ -143,6 +211,16 @@ class TestPropagate:
         err_coarse = np.linalg.norm(final(4e-3) - ref)
         err_fine = np.linalg.norm(final(2e-3) - ref)
         assert 3.0 < err_coarse / err_fine < 5.0
+
+    def test_records_step_count_and_worst_drifts(self, trap_state_u1):
+        plain = propagate(trap_state_u1, t_final=0.05, dt=1e-3, stride=20)
+        assert plain.n_steps == 50
+        assert plain.max_norm_drift == float(np.max(np.abs(plain.norm_t - 1.0)))
+        assert plain.max_gram_deviation is None and plain.max_overlap is None
+        traj = propagate(trap_state_u1, t_final=0.05, dt=1e-3, stride=20,
+                         basis=build_phonon_basis(trap_state_u1, 4))
+        assert traj.max_gram_deviation == float(np.max(traj.gram_t))
+        assert traj.max_overlap == float(np.max(traj.overlap_t))
 
     def test_parameter_validation(self, trap_state_u1):
         with pytest.raises(ConfigurationError):
@@ -246,6 +324,14 @@ class TestPropagateModes:
         with pytest.raises(ConfigurationError):
             propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10, basis=bad)
 
+    def test_rejects_basis_on_another_grid_of_the_same_size(self, trap_state_u1, trap_grid):
+        basis = build_phonon_basis(trap_state_u1, 4)
+        for boundary, length in (("periodic", trap_grid.length), ("box", 2 * trap_grid.length)):
+            grid = build_grid(trap_grid.n_points, length, boundary)
+            state = solve_stationary(grid, harmonic_potential(grid), u_tilde=1.0)
+            with pytest.raises(DimensionMismatchError):
+                propagate(state, t_final=0.01, dt=1e-3, stride=10, basis=basis)
+
     def test_large_step_keeps_geometry(self, trap_state_u1):
         # A step far too coarse for accuracy: the transport stays unitary.
         basis = build_phonon_basis(trap_state_u1, 8)
@@ -266,6 +352,116 @@ class TestPropagateModes:
         basis = build_phonon_basis(trap_state_u1, 8)
         with pytest.raises(IntegratorError):
             propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=100, basis=basis)
+
+
+@pytest.fixture(scope="module")
+def ramp_states(trap_grid):
+    """Trapped ground states on a box and on a periodic grid of the same size."""
+    periodic = build_grid(trap_grid.n_points, trap_grid.length, "periodic")
+    return {
+        grid.boundary: solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        for grid in (trap_grid, periodic)
+    }
+
+
+class TestSpectralLoop:
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    @pytest.mark.parametrize("evolution", ["gpe", "linear"])
+    def test_matches_four_transform_reference(self, ramp_states, boundary, evolution):
+        # A ramp changes V within every step, so sampling it anywhere but
+        # at t + dt/2 would show far above round-off.
+        state = ramp_states[boundary]
+        ramp = TrapRamp(state.grid, 1.0, 1.3, t0=0.0, t1=0.2)
+        basis = build_phonon_basis(state, 12)
+        traj = propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=50,
+                         evolution=evolution, basis=basis)
+        states, modes = reference_one_pass(traj, basis)
+        assert traj.n_snapshots == len(modes) == 5
+        for i, t in enumerate(traj.times):
+            j = int(round(t / traj.dt))
+            assert np.max(np.abs(traj.xi_t[i].values - states[j])) <= 1e-11
+            assert np.max(np.abs(traj.modes_t[i].mode_matrix - modes[i])) <= 1e-11
+            offsets, arrays = traj.stencils[i]
+            for offset, values in zip(offsets, arrays):
+                assert np.max(np.abs(values - states[j + offset])) <= 1e-11
+
+    def test_initial_snapshot_is_the_input(self, ramp_states):
+        state = ramp_states["box"]
+        traj = propagate(state, t_final=0.01, dt=1e-3, stride=5)
+        assert np.array_equal(traj.xi_t[0].values, state.xi.values)
+
+
+def random_transport_case(seed, n=64, K=6, dx=0.1):
+    """Two nearby states and a mode block orthonormal to the first."""
+    rng = np.random.default_rng(seed)
+    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    psi1 = psi0 + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
+    raw = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
+    raw -= np.outer(raw @ e0.conj() * dx, e0)
+    q, _ = np.linalg.qr(raw.T)
+    phi = np.ascontiguousarray(q.T / np.sqrt(dx))
+    return phi, psi0, psi1, dx
+
+
+class TestTransport:
+    def test_updates_callers_block_in_place_as_the_outer_product_formula(self):
+        phi, psi0, psi1, dx = random_transport_case(0)
+        expected, expected_phase = reference_transport(phi, psi0, psi1, dx)
+        before = phi.copy()
+        phase = _transport(phi, psi0, psi1, dx)
+        assert np.max(np.abs(phi - before)) > 1e-3
+        assert np.max(np.abs(phi - expected)) < 1e-13
+        assert abs(phase - expected_phase) < 1e-15
+
+    @pytest.mark.parametrize("layout", ["fortran", "real", "complex64", "read-only"])
+    def test_guard_fires_on_a_block_it_cannot_update_in_place(self, layout):
+        phi, psi0, psi1, dx = random_transport_case(1)
+        bad = {
+            "fortran": np.asfortranarray(phi),
+            "real": np.ascontiguousarray(phi.real),
+            "complex64": phi.astype(np.complex64),
+            "read-only": phi,
+        }[layout]
+        bad.flags.writeable = layout != "read-only"
+        before = bad.copy()
+        with pytest.raises(TypeError):
+            _transport(bad, psi0, psi1, dx)
+        assert np.array_equal(bad, before)
+
+    def test_phase_only_step_leaves_block_untouched(self):
+        # Exactly representable values, so that s comes out exactly 0: a
+        # rounded phase would leave an s of order eps and a round-off update.
+        dx = 0.25
+        psi0 = np.zeros(64, dtype=complex)
+        psi0[0] = 2.0
+        phi = random_transport_case(2)[0]
+        phi[:, 0] = 0.0
+        before = phi.copy()
+        phase = _transport(phi, psi0, 1j * psi0, dx)
+        assert np.array_equal(phi, before)
+        assert phase == 1j
+
+    def test_complement_of_e0_goes_to_complement_of_e1(self):
+        phi, psi0, psi1, dx = random_transport_case(3)
+        e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
+        assert np.max(np.abs(phi.conj() @ e1 * dx)) > 1e-3
+        _transport(phi, psi0, psi1, dx)
+        assert np.max(np.abs(phi.conj() @ e1 * dx)) < 1e-13
+        assert np.max(np.abs(phi.conj() @ phi.T * dx - np.eye(phi.shape[0]))) < 1e-13
+
+    def test_loop_passes_contiguous_complex_blocks(self, trap_state_u1, monkeypatch):
+        seen = []
+        real = tdgpe._transport
+
+        def spy(phi, psi0, psi1, dx):
+            seen.append(phi.flags.c_contiguous and phi.dtype == np.complex128)
+            return real(phi, psi0, psi1, dx)
+
+        monkeypatch.setattr(tdgpe, "_transport", spy)
+        propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=5,
+                  basis=build_phonon_basis(trap_state_u1, 4))
+        assert len(seen) == 10 and all(seen)
 
 
 class TestMuOfT:
