@@ -29,7 +29,7 @@ fails, i.e. for a complex frequency, a negative energy or a zero mode.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -41,7 +41,14 @@ from .errors import (
     InstabilityError,
 )
 from .gpe import CondensateState
-from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values, kinetic_matrix
+from .grid import (
+    ComplexField,
+    Grid1D,
+    _check_same_grid,
+    _kinetic_values,
+    build_grid,
+    kinetic_matrix,
+)
 
 POSITIVE_NORM_THRESHOLD = 1e-8
 REALITY_TOLERANCE = 1e-9
@@ -81,7 +88,11 @@ class QuadraticHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class QuasiparticleSpectrum:
-    """Quasiparticle energies, transformation matrices, and wavefunctions."""
+    """Quasiparticle energies, transformation matrices, and wavefunctions.
+
+    ``path`` names the diagonalization that produced them: ``"colpa"`` for
+    a positive-definite D, ``"anomalous"`` for the general ``eig``.
+    """
 
     energies: np.ndarray
     c_matrix: np.ndarray
@@ -90,6 +101,7 @@ class QuasiparticleSpectrum:
     q_waves: list[ComplexField]
     omega_g: float
     stable: bool
+    path: str
     anomalies: tuple[str, ...] = field(default=())
 
 
@@ -100,13 +112,37 @@ class StabilityReport:
     messages: tuple[str, ...]
 
 
+@lru_cache(maxsize=4)
+def _single_particle_modes(
+    n_points: int, length: float, boundary: str, K: int, potential: bytes
+) -> np.ndarray:
+    """Read-only (K+1, n_points) array of the lowest eigenfunctions of T + V.
+
+    Rows are normalized to integral |v|^2 dx = 1.  T + V depends only on
+    the grid, the potential and K, not on xi, N or u_tilde, so the dense
+    ``eigh`` runs once per trap.  The memo is keyed by content (the grid
+    parameters and the potential's bytes), never by object identity:
+    grids and fields hash by id, and an id can be reused after garbage
+    collection.
+    """
+    grid = build_grid(n_points, length, boundary)
+    h0 = kinetic_matrix(grid) + np.diag(np.frombuffer(potential))
+    _, vecs = scipy.linalg.eigh(h0, subset_by_index=[0, K])
+    modes = vecs.T / np.sqrt(grid.dx)
+    modes.flags.writeable = False
+    return modes
+
+
 def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     """Lowest-K single-particle modes projected orthogonal to the condensate.
 
     Takes the K+1 lowest eigenfunctions of -1/2 d^2/dx^2 + V, removes the
     component along xi, drops any candidate that loses essentially all its
     norm to the projection (the condensate direction itself), and returns
-    the first K orthonormal survivors.
+    the first K orthonormal survivors.  The eigenfunctions of T + V are
+    memoized per grid, potential and K (a few traps at a time), so later
+    bases in the same trap skip the dense ``eigh``; a hit returns the same
+    vectors bit for bit.
     """
     grid = state.grid
     if K < 1:
@@ -115,9 +151,9 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
         raise ConfigurationError(
             f"K = {K} too large for grid with {grid.n_points} points"
         )
-    h0 = kinetic_matrix(grid) + np.diag(state.potential.values.real)
-    _, vecs = scipy.linalg.eigh(h0, subset_by_index=[0, K])
-    candidates = vecs.T / np.sqrt(grid.dx)
+    candidates = _single_particle_modes(
+        grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
+    )
 
     dx = grid.dx
     xi_hat = state.xi.values / np.sqrt(np.vdot(state.xi.values, state.xi.values).real * dx)
@@ -326,9 +362,10 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
         raise DimensionMismatchError("basis size does not match Hamiltonian")
     try:
         energies, u, v = _colpa(qh.m_matrix, qh.g_matrix)
-        has_complex, anomalies = False, []
+        has_complex, anomalies, path = False, [], "colpa"
     except scipy.linalg.LinAlgError:
         energies, u, v, anomalies, has_complex = _anomalous_branch(qh.m_matrix, qh.g_matrix)
+        path = "anomalous"
 
     c_matrix = u
     s_matrix = v.conj()
@@ -351,6 +388,7 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
         q_waves=q_waves,
         omega_g=omega_g,
         stable=stable,
+        path=path,
         anomalies=tuple(anomalies),
     )
 

@@ -37,7 +37,7 @@ from .gpe import (
     solve_stationary,
     zero_potential,
 )
-from .grid import build_grid, norm
+from .grid import ComplexField, build_grid, norm
 from .homogeneous import (
     bogoliubov_dispersion,
     compare_asymptotics,
@@ -546,10 +546,6 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
     }
 
 
-def _norm_of(values: np.ndarray, dx: float) -> float:
-    return float(np.sqrt(np.vdot(values, values).real * dx))
-
-
 def run_number_shift(config: dict, out: OutputWriter) -> dict:
     grid, state = _build_state(config)
     phys = config["physics"]
@@ -567,7 +563,7 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
     report = build_report(problem, state, basis, spectrum)
 
     rel_corrections = [
-        _norm_of(f.values - p.values, grid.dx) / max(_norm_of(p.values, grid.dx), 1e-300)
+        norm(ComplexField(f.values - p.values, grid)) / max(norm(p), 1e-300)
         for f, p in zip(report.f_waves, spectrum.p_waves)
     ]
     out.csv(

@@ -182,6 +182,23 @@ def _hamiltonian_entries(states: np.ndarray, omega_k: float, g2: float):
     return np.concatenate(rows_out), np.concatenate(cols_out), np.concatenate(vals_out)
 
 
+def _lowest_tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray, count: int) -> np.ndarray:
+    """The ``count`` lowest eigenvalues of a symmetric tridiagonal matrix, ascending.
+
+    Calls LAPACK's bisection ``dstebz`` (range 2: by index; order "E":
+    ascending) directly, because scipy's ``eigvalsh_tridiagonal`` wrapper
+    costs more than the solve of a Fock sector chain of a few dozen states.
+    """
+    if d.size == 1:  # the wrapper rejects a 1x1 chain's empty off-diagonal
+        return d.copy()
+    n_eigs, eigs, _, _, info = scipy.linalg.lapack.dstebz(
+        d, e, 2, 0.0, 0.0, 1, min(count, d.size), 0.0, "E"
+    )
+    if info:
+        raise scipy.linalg.LinAlgError(f"dstebz failed to converge (info {info})")
+    return eigs[:n_eigs]
+
+
 def exact_fock_spectrum(
     n_particles: int,
     k_mode: float,
@@ -199,9 +216,11 @@ def exact_fock_spectrum(
     the three-mode truncation retained.  Within a sector the states form
     a chain in j = min(n+, n-): the kinetic and density-density terms are
     diagonal and the pair exchange links j only to j +- 1, so each sector
-    is a symmetric tridiagonal matrix solved by ``eigvalsh_tridiagonal``.
-    The chains are read off the term-by-term entries, and any entry that
-    leaves them raises.
+    is a symmetric tridiagonal matrix, of which only the lowest
+    n_gaps + 1 eigenvalues are computed: the ground energy, the sector
+    minima and the n_gaps lowest excitations need no more.  The chains
+    are read off the term-by-term entries, and any entry that leaves them
+    raises.
     """
     if n_particles < 1:
         raise ConfigurationError("n_particles must be at least 1")
@@ -227,7 +246,7 @@ def exact_fock_spectrum(
     sector_minima = {}
     all_eigs = []
     for s, start, stop in zip(range(-cap, cap + 1), offsets[:-1], offsets[1:]):
-        eigs = scipy.linalg.eigvalsh_tridiagonal(d[start:stop], e[start:stop - 1])
+        eigs = _lowest_tridiagonal_eigenvalues(d[start:stop], e[start:stop - 1], n_gaps + 1)
         sector_minima[s] = float(eigs[0])
         all_eigs.append(eigs)
     all_eigs = np.sort(np.concatenate(all_eigs))

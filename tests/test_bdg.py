@@ -15,7 +15,7 @@ from bogolib.bdg import (
     plane_wave_basis,
 )
 from bogolib.errors import ConfigurationError, DimensionMismatchError, InstabilityError
-from bogolib.gpe import h2_coefficients, solve_stationary, zero_potential
+from bogolib.gpe import h2_coefficients, harmonic_potential, solve_stationary, zero_potential
 from bogolib.grid import ComplexField, build_grid, inner_product, kinetic_matrix, orthonormalize
 from bogolib.homogeneous import bogoliubov_dispersion
 
@@ -90,6 +90,86 @@ class TestBuildPhononBasis:
     def test_plane_wave_basis_requires_even_k(self, uniform_state):
         with pytest.raises(ConfigurationError):
             plane_wave_basis(uniform_state, 5)
+
+
+def _trap_state(n_points=64, length=16.0, boundary="box", u_tilde=1.0):
+    grid = build_grid(n_points, length, boundary)
+    return solve_stationary(grid, harmonic_potential(grid), u_tilde=u_tilde)
+
+
+class TestSingleParticleMemo:
+    """The T + V eigenbasis behind build_phonon_basis is computed once per trap."""
+
+    @pytest.fixture(autouse=True)
+    def eigh_calls(self, monkeypatch):
+        bdg._single_particle_modes.cache_clear()
+        calls = []
+        real_eigh = scipy.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real_eigh(*args, **kwargs)
+
+        monkeypatch.setattr(bdg.scipy.linalg, "eigh", spy)
+        yield calls
+        bdg._single_particle_modes.cache_clear()
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_hit_is_bit_identical_to_cold_build(self, boundary):
+        states = {ut: _trap_state(boundary=boundary, u_tilde=ut) for ut in (0.0, 5.0)}
+        for ut, other in ((0.0, 5.0), (5.0, 0.0)):
+            bdg._single_particle_modes.cache_clear()
+            cold = build_phonon_basis(states[ut], 12).mode_matrix
+            bdg._single_particle_modes.cache_clear()
+            build_phonon_basis(states[other], 12)
+            hit = build_phonon_basis(states[ut], 12).mode_matrix
+            assert bdg._single_particle_modes.cache_info().hits == 1
+            assert np.array_equal(hit, cold)
+
+    def test_one_eigh_across_a_ladder_in_one_trap(self, trap_grid, eigh_calls):
+        pot = harmonic_potential(trap_grid)
+        u = 0.25
+        for n_particles in (4.0, 8.0, 12.0, 16.0, 20.0):
+            state = solve_stationary(trap_grid, pot, u_tilde=u * n_particles, n_particles=n_particles)
+            build_phonon_basis(state, 16)
+        assert len(eigh_calls) == 1
+
+    def test_changed_trap_misses(self, eigh_calls):
+        state = _trap_state()
+        build_phonon_basis(state, 8)
+        build_phonon_basis(state, 8)
+        assert len(eigh_calls) == 1
+        build_phonon_basis(state, 9)
+        assert len(eigh_calls) == 2
+        build_phonon_basis(_trap_state(length=12.0), 8)
+        assert len(eigh_calls) == 3
+        build_phonon_basis(_trap_state(boundary="periodic"), 8)
+        assert len(eigh_calls) == 4
+        state.potential.values[10] += 0.5
+        build_phonon_basis(state, 8)
+        assert len(eigh_calls) == 5
+
+    def test_fresh_equal_grid_hits(self, eigh_calls):
+        first = build_phonon_basis(_trap_state(), 8).mode_matrix
+        again = build_phonon_basis(_trap_state(), 8).mode_matrix
+        assert len(eigh_calls) == 1
+        assert np.array_equal(first, again)
+
+    def test_writing_into_a_basis_leaves_the_memo_intact(self):
+        state = _trap_state()
+        basis = build_phonon_basis(state, 8)
+        expected = basis.mode_matrix.copy()
+        basis.mode_matrix[:] = 0.0
+        basis.modes[0].values[:] = 0.0
+        assert np.array_equal(build_phonon_basis(state, 8).mode_matrix, expected)
+
+    def test_memo_stays_bounded(self):
+        state = _trap_state()
+        for k in range(1, 9):
+            build_phonon_basis(state, k)
+        info = bdg._single_particle_modes.cache_info()
+        assert info.misses == 8
+        assert info.currsize <= info.maxsize
 
 
 def _kinetic_field(mode):
@@ -298,6 +378,18 @@ class TestStability:
         assert not report.stable
         assert 0 in report.offending_modes
         assert "negative energy" in report.messages[0]
+
+    def test_path_names_the_diagonalization(self, trap_states):
+        state = trap_states[10.0]
+        basis = build_phonon_basis(state, 16)
+        assert diagonalize(assemble(state, basis), basis).path == "colpa"
+        # Above the lowest excitation energies, mu makes M indefinite.
+        qh = assemble_from_fields(
+            state.xi.values, basis, state.potential.values, state.u_tilde, state.mu + 3.0
+        )
+        spec = diagonalize(qh, basis)
+        assert not spec.stable
+        assert spec.path == "anomalous"
 
     def test_complex_frequencies_flagged(self, uniform_state):
         basis = plane_wave_basis(uniform_state, 2)

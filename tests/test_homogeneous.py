@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,6 +297,32 @@ class TestFockOracle:
         # Error roughly halves per doubling of N.
         for a, b in zip(errs, errs[1:]):
             assert a / b == pytest.approx(2.0, rel=0.3)
+
+    @pytest.mark.parametrize("n_particles", [40, 60, 200])
+    def test_lowest_sector_eigenvalues_match_full_spectra(self, n_particles, monkeypatch):
+        # Oracle: every eigenvalue of every sector chain.
+        u = 1.0 / n_particles
+        fast = {
+            n_gaps: exact_fock_spectrum(n_particles, 1.0, u, 1.0, n_particles, n_gaps)
+            for n_gaps in (1, 6, 20)
+        }
+        monkeypatch.setattr(
+            homogeneous,
+            "_lowest_tridiagonal_eigenvalues",
+            lambda d, e, count: scipy.linalg.eigvalsh_tridiagonal(d, e),
+        )
+        for n_gaps, spec in fast.items():
+            full = exact_fock_spectrum(n_particles, 1.0, u, 1.0, n_particles, n_gaps)
+            assert spec.ground_energy == pytest.approx(full.ground_energy, rel=1e-12)
+            assert spec.first_gap == pytest.approx(full.first_gap, rel=1e-12)
+            np.testing.assert_allclose(spec.gaps, full.gaps, rtol=1e-12, atol=0)
+            assert spec.sector_minima.keys() == full.sector_minima.keys()
+            np.testing.assert_allclose(
+                list(spec.sector_minima.values()),
+                list(full.sector_minima.values()),
+                rtol=1e-12,
+                atol=0,
+            )
 
     def test_cap_convergence(self):
         a = exact_fock_spectrum(40, 2.0, 1.0 / 40, 1.0, 20)
