@@ -4,8 +4,9 @@ Config files are INI-style with sections ``[scenario]``, ``[grid]``,
 ``[physics]``, ``[numerics]`` and ``[output]``; unknown sections or keys
 are rejected so typos cannot silently change the physics.  Scalar results
 land in ``summary.json`` (deterministic: resolved config included, no
-wall-clock data), arrays in CSV files; timing and version info go to the
-separate ``run_meta.json``.
+wall-clock data), arrays in CSV files; timing, version info and what the
+solvers did (the stationary ``SolveTrace``, the diagonalization path) go
+to the separate ``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver/integrator
 failure, 4 instability detected (outputs still written), 5 resource
@@ -17,6 +18,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import json
 import os
 import platform
@@ -149,7 +151,6 @@ SCHEMA = {
     "numerics": {
         # Resolved below from the grid (gpe.default_tol) when not given.
         "tol": (_parse_bounded_float(0, lo_open=True), None),
-        "max_iters": (_parse_bounded_int(1), 20000),
         "dt": (_parse_bounded_float(0, lo_open=True), 1e-3),
         "t_final": (_parse_bounded_float(0, lo_open=True), 10.0),
         "k_modes": (_parse_bounded_int(1), None),
@@ -298,6 +299,7 @@ class OutputWriter:
         self.directory = directory
         self.formats = set(formats.split(","))
         self.files: list[str] = []
+        self.solver: dict = {}  # what the solvers did, for run_meta.json
 
     def csv(self, name: str, header: list[str], rows) -> None:
         if "csv" not in self.formats:
@@ -343,7 +345,7 @@ def write_summary(directory: Path, config: dict, results: dict, files: list[str]
     return path
 
 
-def write_meta(directory: Path, elapsed: float) -> None:
+def write_meta(directory: Path, elapsed: float, solver: dict) -> None:
     meta = {
         "elapsed_seconds": elapsed,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
@@ -352,6 +354,7 @@ def write_meta(directory: Path, elapsed: float) -> None:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "output_directory": str(directory.resolve()),
+        "solver": _jsonable(solver),
     }
     (directory / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
@@ -374,7 +377,7 @@ def _parity_of_wave(values: np.ndarray, boundary: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_state(config: dict):
+def _build_state(config: dict, out: OutputWriter):
     gridcfg = config["grid"]
     grid = build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
     pot_spec = config["physics"]["_potential_parsed"]
@@ -390,8 +393,8 @@ def _build_state(config: dict):
         u_tilde,
         n_particles=n_particles,
         tol=num["tol"],
-        max_iters=num["max_iters"],
     )
+    out.solver["stationary"] = dataclasses.asdict(state.trace)
     return grid, state
 
 
@@ -401,7 +404,7 @@ def _default_k_modes(config: dict, grid) -> int:
 
 
 def run_stationary(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config)
+    grid, state = _build_state(config, out)
     h1 = energy_functional_h1(state)
     results = {
         "mu": state.mu,
@@ -425,11 +428,12 @@ def run_stationary(config: dict, out: OutputWriter) -> dict:
 
 
 def run_spectrum(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config)
+    grid, state = _build_state(config, out)
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     qh = assemble(state, basis)
     spectrum = diagonalize(qh, basis)
+    out.solver["spectrum_path"] = spectrum.path
     report = check_stability(spectrum)
 
     uniform = (
@@ -481,7 +485,7 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
 
 
 def run_dynamics(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config)
+    grid, state = _build_state(config, out)
     num = config["numerics"]
     pot_spec = config["physics"]["_potential_parsed"]
     potential_of_t = None
@@ -547,7 +551,7 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
 
 
 def run_number_shift(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config)
+    grid, state = _build_state(config, out)
     phys = config["physics"]
     num = config["numerics"]
     problem = StationaryProblem(
@@ -555,11 +559,11 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
         potential=state.potential,
         u=phys["u"],
         tol=num["tol"],
-        max_iters=num["max_iters"],
     )
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     spectrum = diagonalize(assemble(state, basis), basis)
+    out.solver["spectrum_path"] = spectrum.path
     report = build_report(problem, state, basis, spectrum)
 
     rel_corrections = [
@@ -682,10 +686,10 @@ def run(config_path: str) -> int:
         # instability through the exit code.
         if getattr(exc, "results", None) is not None:
             write_summary(directory, config, exc.results, out.files)
-            write_meta(directory, time.time() - started)
+            write_meta(directory, time.time() - started, out.solver)
         raise
     write_summary(directory, config, results, out.files)
-    write_meta(directory, time.time() - started)
+    write_meta(directory, time.time() - started, out.solver)
     print(f"{scenario}: wrote summary.json and {len(out.files)} data file(s) to {directory}")
     return 0
 

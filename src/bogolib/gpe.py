@@ -4,28 +4,38 @@ Finds the real, nodeless ground-state orbital xi(x) of
 
     -1/2 xi'' + V xi + u_tilde |xi|^2 xi = mu xi,   integral |xi|^2 dx = 1,
 
-by normalized imaginary-time split stepping with an adaptive step until
-the residual is small or stops falling, then polished by a projected
-Newton iteration.
+in three stages.
 
-Each Newton step solves the bordered system
+1. Descent: Polak-Ribiere nonlinear CG on h1 (below) over the unit sphere,
+   searching along great circles so that each step lowers h1, with the
+   preconditioner s (T + s)^-1/2 (V - V_min + u_tilde psi^2 + s)^-1 (T + s)^-1/2,
+   s = max(mu - V_min, 1); see Antoine, Levitt & Tang, J. Comput. Phys.
+   343, 92 (2017).  It starts from the lower-energy of exp(-(V - V_min))
+   and the Thomas-Fermi profile sqrt(max(mu_TF - V, 0)/u_tilde), and hands
+   over below the residual ``_HANDOVER``.
+2. Newton polish.  Each step solves the bordered system
 
-    [[J, -xi], [xi^T dx, 0]] [d xi; d mu] = [-r; 0],   J = T + V + 3 u_tilde xi^2 - mu,
+       [[J, -xi], [xi^T dx, 0]] [d xi; d mu] = [-r; 0],   J = T + V + 3 u_tilde xi^2 - mu,
 
-for the residual r = (T + V + u_tilde xi^2 - mu) xi.  No matrix is formed:
-with e = xi/|xi| and P = I - e e^T, the step is the solution orthogonal to
-xi of P J P d = P rhs, found by conjugate gradients with T applied through
-the grid's spectral transform and (T + s)^-1 as preconditioner; then
-d mu = e.(J d - rhs)/(e.xi).  P J P is positive definite on the complement
-of xi near the ground state for every u_tilde >= 0 (J itself is singular
-along xi at u_tilde = 0), so one CG solve serves each step.  This is
-Newton-Krylov in the sense of Knoll & Keyes, J. Comput. Phys. 193, 357
-(2004).  Newton stops as soon as a step fails to halve the residual: that
-residual is the round-off floor of the grid.  A floor above ``tol`` is a
-``ConvergenceError`` that names it.  The default ``tol`` tracks that floor
-(see ``default_tol``).  The same solve at the converged state gives the
-exact N-derivative of the orbital (see ``number_shift.exact_dxi_dN``), with
-right-hand side [-(u_tilde/N) xi^3; 0].
+   for the residual r = (T + V + u_tilde xi^2 - mu) xi.  No matrix is
+   formed: with e = xi/|xi| and P = I - e e^T, the step is the solution
+   orthogonal to xi of P J P d = P rhs, found by conjugate gradients with T
+   applied through the grid's spectral transform and (T + s)^-1 as
+   preconditioner; then d mu = e.(J d - rhs)/(e.xi).  P J P is positive
+   definite on the complement of xi near the ground state for every
+   u_tilde >= 0 (J itself is singular along xi at u_tilde = 0), so one CG
+   solve serves each step.  This is Newton-Krylov in the sense of Knoll &
+   Keyes, J. Comput. Phys. 193, 357 (2004).  Newton stops as soon as a step
+   fails to halve the residual: that residual is the round-off floor of the
+   grid.  A floor above ``tol`` is a ``ConvergenceError`` that names it.
+   The default ``tol`` tracks that floor (see ``default_tol``).  The same
+   solve at the converged state gives the exact N-derivative of the orbital
+   (see ``number_shift.exact_dxi_dN``), with right-hand side
+   [-(u_tilde/N) xi^3; 0].
+3. Certificate: in 1-D the ground state is the only stationary state with
+   no sign change (counted above ``_NODE_FLOOR`` max|xi|), so a result
+   whose sign changes is an excited state, and the solve raises a
+   ``ConvergenceError`` that names it.
 
 The chemical potential is always reported through the energy functional
 
@@ -57,21 +67,21 @@ if TYPE_CHECKING:  # pragma: no cover
 class SolveTrace:
     """What ``solve_stationary`` did to reach its state.
 
-    ``residuals`` holds the residual after the imaginary-time stage, then
-    the residual of each Newton trial, kept or not; ``cg_iterations`` has
+    ``residuals`` holds the residual after the descent, then the
+    residual of each Newton trial, kept or not; ``cg_iterations`` has
     one entry per Newton step.  ``stop_reason`` is ``"tol reached in
-    imaginary time"`` (no Newton step was needed), or what ended Newton:
+    descent"`` (no Newton step was needed), or what ended Newton:
     ``"round-off floor"``, ``"Newton step cap"``, ``"failed linear
     solve"`` or ``"diverging step"`` (the last two only after an earlier
-    step already reached tol).
+    step already reached tol).  ``sign_changes`` is the certificate's
+    count for the returned orbital, always 0: any other count raises.
     """
 
-    imag_steps: int
-    imag_rejected: int
-    final_dtau: float
+    descent_steps: int
     cg_iterations: tuple[int, ...]
     residuals: tuple[float, ...]
     stop_reason: str
+    sign_changes: int
 
     @property
     def newton_steps(self) -> int:
@@ -88,7 +98,7 @@ class CondensateState:
     potential: ComplexField
     mu: float
     residual: float
-    # Accepted-step energies of the imaginary-time stage (diagnostic).
+    # h1 of the start, after each descent step, and of the result (diagnostic).
     h1_history: np.ndarray = field(repr=False, default=None)
     trace: SolveTrace | None = field(repr=False, default=None)
 
@@ -97,14 +107,14 @@ class CondensateState:
         return self.xi.grid
 
 
+# The descent hands over to the Newton polish below this residual.  It has
+# taken at most 23 steps (harmonic traps, L = 16, n = 128-8192, omega =
+# 0.3-5, u_tilde = 0-2000); the caps below are for safety.
+_HANDOVER = 1e-4
+_DESCENT_MAX_STEPS = 500
+_LINE_SEARCH_HALVINGS = 40
 # Safety cap on Newton steps; each kept step at least halves the residual.
 _NEWTON_MAX_STEPS = 40
-# The imaginary-time stage hands over to Newton below this residual, or
-# earlier, on the O(dtau^2) plateau of the split map.  In a trap with
-# omega = 1 the plateau usually comes first (near 1e-2); at omega = 0.3,
-# or omega = 2 with u_tilde = 0, this switch ends the stage (e.g. 90
-# rather than 620 steps at omega = 2, u_tilde = 0).
-_NEWTON_SWITCH = 1e-4
 # CG stops once its residual is below _CG_RTOL times the norm of the
 # right-hand side; it has taken 19-35 iterations on box and periodic
 # grids with n = 128-8192 and u_tilde = 0-50.
@@ -113,6 +123,11 @@ _CG_MAX_ITERS = 300
 # The residual floor of a converged solve is 0.3-0.85 eps lambda_max(T)
 # (box and periodic grids, n = 1024-8192); see ``default_tol``.
 _FLOOR_FACTOR = 2.0
+# The certificate counts sign changes between samples above this fraction
+# of max|xi|.  An under-resolved ground state has tails that ripple in sign
+# up to 7e-4 max|xi| (omega <= 5, u_tilde <= 2000, n >= 16); the excited
+# states met had lobes above 0.1 max|xi|.
+_NODE_FLOOR = 1e-2
 
 
 def default_tol(grid: Grid1D) -> float:
@@ -149,6 +164,8 @@ def apply_gp_operator(
 
 def _check_potential(grid: Grid1D, potential: ComplexField) -> np.ndarray:
     _check_same_grid(potential.grid, grid)
+    if not np.all(np.isfinite(potential.values)):
+        raise ConfigurationError("potential must be finite")
     if np.max(np.abs(potential.values.imag)) > 0:
         raise ConfigurationError("potential must be real-valued")
     return potential.values.real
@@ -237,15 +254,80 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     return d, m, iterations
 
 
+def _starting_orbital(grid: Grid1D, v_real: np.ndarray, u_tilde: float) -> np.ndarray:
+    """The lower-energy normalized start of the descent (module docstring)."""
+    starts = [np.exp(-(v_real - v_real.min()))]
+    if u_tilde > 0:
+        # Filling the k lowest samples of V to the level mu with sum(mu - V) dx
+        # = u_tilde; mu_TF is the first such level not above the next sample.
+        v = np.sort(v_real)
+        levels = (u_tilde / grid.dx + np.cumsum(v)) / np.arange(1, v.size + 1)
+        mu_tf = levels[np.argmax(np.append(levels[:-1] <= v[1:], True))]
+        starts.append(np.sqrt(np.maximum(mu_tf - v_real, 0.0) / u_tilde))
+    starts = [psi / np.sqrt(np.sum(psi**2) * grid.dx) for psi in starts]
+    return min(starts, key=lambda psi: _quadrature_mu_h1(grid, v_real, u_tilde, psi)[1])
+
+
+def _descend(grid, v_real, u_tilde, psi, stop):
+    """Stage 1 of the module docstring, from the normalized real ``psi``.
+
+    Stops at residual ``stop``, at a line search that cannot lower h1, or
+    after _DESCENT_MAX_STEPS.  Returns (psi, h1 at the start and after
+    each step).  T is linear, so T psi follows each step without a
+    transform.
+    """
+    dx, v_min = grid.dx, v_real.min()
+    kinetic = _spectral_map(grid, grid.kinetic_eigs)
+    t_psi, energies, direction = kinetic(psi), [], None
+    while True:
+        interaction = u_tilde * psi**2
+        h_psi = t_psi + (v_real + interaction) * psi
+        mu = dx * (psi @ h_psi)
+        r = h_psi - mu * psi
+        quadratic = dx * (psi @ t_psi + v_real @ psi**2)
+        energies.append(quadratic + 0.5 * dx * (interaction @ psi**2))
+        if dx * (r @ r) <= stop**2 or len(energies) > _DESCENT_MAX_STEPS:
+            return psi, energies
+
+        s = max(mu - v_min, 1.0)
+        half = _spectral_map(grid, (grid.kinetic_eigs + s) ** -0.5)
+        pr = half(s / (v_real - v_min + interaction + s) * half(r))
+        if direction is not None:  # Polak-Ribiere, restarted when not downhill
+            direction = max((r - r_old) @ pr / pr_old, 0.0) * direction - pr
+        if direction is None or not direction @ r < 0:
+            direction = -pr
+        direction -= dx * (psi @ direction) * psi
+        r_old, pr_old = r, r @ pr
+
+        # On the great circle cos(t) psi + sin(t) p, h1 is a trigonometric
+        # quadratic from three inner products plus the quartic term.  The
+        # first angle minimizes its second-order model at t = 0.
+        p = direction / np.sqrt(dx * (direction @ direction))
+        t_p = kinetic(p)
+        cross = dx * (p @ t_psi + v_real @ (p * psi))
+        square = dx * (p @ t_p + v_real @ p**2)
+        curvature = 2.0 * (square + 3.0 * dx * (interaction @ p**2) - mu)
+        angle = min(-2.0 * dx * (p @ r) / curvature if curvature > 0 else np.inf, 0.5 * np.pi)
+        for _ in range(_LINE_SEARCH_HALVINGS):
+            cs, sn = np.cos(angle), np.sin(angle)
+            trial_quadratic = cs * cs * quadratic + 2.0 * cs * sn * cross + sn * sn * square
+            trial_quartic = 0.5 * u_tilde * dx * np.sum((cs * psi + sn * p) ** 4)
+            if trial_quadratic + trial_quartic < energies[-1]:
+                break
+            angle *= 0.5
+        else:
+            return psi, energies
+        psi, t_psi = cs * psi + sn * p, cs * t_psi + sn * t_p
+
+
 def solve_stationary(
     grid: Grid1D,
     potential: ComplexField,
     u_tilde: float,
     n_particles: float = 1.0,
     tol: float | None = None,
-    max_iters: int = 20000,
 ) -> CondensateState:
-    """Ground-state branch of the stationary equation.
+    """Ground state of the stationary equation (module docstring).
 
     Parameters
     ----------
@@ -256,68 +338,36 @@ def solve_stationary(
         Target L2 residual of the stationary equation.  ``None`` means
         ``default_tol(grid)``, which tracks the grid's round-off floor; an
         explicit value is absolute.
-    max_iters : int
-        Cap on imaginary-time iterations.
 
     Raises
     ------
     ConfigurationError
-        For u_tilde < 0 or a complex potential.
+        For a u_tilde that is negative or not finite, a potential that is
+        complex or not finite, or n_particles that is not finite and positive.
     ConvergenceError
         If the residual target is not reached; carries the residual of the
         last kept iterate, and the message says why Newton stopped (its
         round-off floor, a failed linear solve, chained as the cause, or a
-        diverging step).
+        diverging step).  Also if the result is an excited state: the
+        message names its mu and the sign changes of xi.
     """
+    if not np.isfinite(u_tilde):
+        raise ConfigurationError("u_tilde must be finite")
     if u_tilde < 0:
         raise ConfigurationError("attractive interactions (u_tilde < 0) are not supported")
+    if not 0 < n_particles < np.inf:
+        raise ConfigurationError("n_particles must be finite and positive")
     if tol is None:
         tol = default_tol(grid)
-    elif tol <= 0:
+    elif not tol > 0:
         raise ConfigurationError("tol must be positive")
     v_real = _check_potential(grid, potential)
 
-    # Nodeless positive starting guess shaped by the potential.
-    psi = np.exp(-(v_real - v_real.min()))
-    psi /= np.sqrt(np.sum(psi**2) * grid.dx)
-
-    dtau = 1e-2
-    dtau_max = 0.1
-    history = []
-    mu, h1, _ = _quadrature_mu_h1(grid, v_real, u_tilde, psi)
-    history.append(h1)
-    residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
-    kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
-
-    iters = rejected = 0
-    last_checked = np.inf
-    while residual > _NEWTON_SWITCH and residual > tol and iters < max_iters:
-        trial = kinetic_half(psi)
-        trial = trial * np.exp(-dtau * (v_real + u_tilde * trial**2))
-        trial = kinetic_half(trial)
-        trial /= np.sqrt(np.sum(trial**2) * grid.dx)
-        mu_t, h1_t, _ = _quadrature_mu_h1(grid, v_real, u_tilde, trial)
-        if h1_t > history[-1] + 1e-13:
-            rejected += 1
-            dtau *= 0.5
-            if dtau < 1e-12:
-                break
-            kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
-            continue
-        psi, mu = trial, mu_t
-        history.append(h1_t)
-        iters += 1
-        if dtau < dtau_max:  # recover from early halvings
-            dtau = min(dtau * 1.05, dtau_max)
-            kinetic_half = _spectral_map(grid, np.exp(-0.5 * dtau * grid.kinetic_eigs))
-        if iters % 10 == 0:
-            residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
-            # The split map's own fixed point carries an O(dtau^2) residual
-            # floor; once improvement stops, hand over to the Newton stage.
-            if residual > 0.99 * last_checked:
-                break
-            last_checked = residual
-
+    psi, history = _descend(
+        grid, v_real, u_tilde, _starting_orbital(grid, v_real, u_tilde), max(_HANDOVER, tol)
+    )
+    descent_steps = len(history) - 1
+    mu = _quadrature_mu_h1(grid, v_real, u_tilde, psi)[0]
     residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
     residuals = [residual]
     cg_iterations = []
@@ -325,7 +375,7 @@ def solve_stationary(
     # Projected Newton polish on the real-valued problem.  A step is kept
     # only if it lowers the residual; Newton stops at the first step that
     # does not halve it, so ``residual`` always belongs to ``psi``.
-    reason, stop, cause = "tol reached in imaginary time", "", None
+    reason, stop, cause = "tol reached in descent", "", None
     if residual > tol:
         reason = "Newton step cap"
         stop = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor"
@@ -356,10 +406,10 @@ def solve_stationary(
                 break
             residual = new_residual
 
-    if residual > tol:
+    if not residual <= tol:  # also catches NaN
         raise ConvergenceError(
-            f"stationary solve stalled at residual {residual:.3e} (target {tol:.1e}): "
-            f"Newton {stop}",
+            f"stationary solve stalled at residual {residual:.3e} (target {tol:.1e}) "
+            f"after {descent_steps} descent steps: Newton {stop}",
             residual=residual,
         ) from cause
 
@@ -368,6 +418,14 @@ def solve_stationary(
         psi = -psi
     mu, h1, _ = _quadrature_mu_h1(grid, v_real, u_tilde, psi)
     history.append(h1)
+    big = psi[np.abs(psi) > _NODE_FLOOR * np.max(np.abs(psi))]
+    sign_changes = int(np.count_nonzero(np.signbit(big[1:]) != np.signbit(big[:-1])))
+    if sign_changes:
+        raise ConvergenceError(
+            "stationary solve converged to an excited state, not the ground state: "
+            f"mu = {mu:.10g}, sign changes of xi = {sign_changes}",
+            residual=residual,
+        )
 
     return CondensateState(
         xi=ComplexField(psi.astype(np.complex128), grid),
@@ -378,12 +436,11 @@ def solve_stationary(
         residual=residual,
         h1_history=np.asarray(history),
         trace=SolveTrace(
-            imag_steps=iters,
-            imag_rejected=rejected,
-            final_dtau=dtau,
+            descent_steps=descent_steps,
             cg_iterations=tuple(cg_iterations),
             residuals=tuple(residuals),
             stop_reason=reason,
+            sign_changes=sign_changes,
         ),
     )
 

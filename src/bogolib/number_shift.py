@@ -42,7 +42,6 @@ class StationaryProblem:
     potential: ComplexField
     u: float
     tol: float | None = None  # None: gpe.default_tol of the grid
-    max_iters: int = 20000
 
     def solve(self, n_particles: float) -> CondensateState:
         return solve_stationary(
@@ -51,7 +50,6 @@ class StationaryProblem:
             self.u * n_particles,
             n_particles=n_particles,
             tol=self.tol,
-            max_iters=self.max_iters,
         )
 
 

@@ -206,6 +206,26 @@ class TestRun:
         summary = json.loads((outdir / "summary.json").read_text())
         assert "output_directory" not in json.dumps(summary)
 
+    def test_run_meta_records_solver_trace_summary_does_not(self, tmp_path, monkeypatch):
+        config = next(p for p in SHIPPED_CONFIGS if p.stem == "stationary_harmonic")
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        assert main(["run", str(config)]) == 0
+        trace = json.loads((tmp_path / "run_meta.json").read_text())["solver"]["stationary"]
+        # u_tilde = 0: the exp(-V) start is the exact Gaussian ground state.
+        assert trace["sign_changes"] == 0
+        assert trace["descent_steps"] == 0 and trace["cg_iterations"] == []
+        assert trace["stop_reason"] == "tol reached in descent"
+        assert trace["residuals"][0] <= default_tol(build_grid(256, 20.0, "box"))
+        summary = (tmp_path / "summary.json").read_text()
+        assert '"trace"' not in summary and "descent_steps" not in summary
+
+    def test_run_meta_records_diagonalization_path(self, tmp_path):
+        outdir = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, UNIFORM_SPECTRUM, outdir=outdir)]) == 0
+        solver = json.loads((outdir / "run_meta.json").read_text())["solver"]
+        assert solver["spectrum_path"] == "colpa"
+        assert solver["stationary"]["stop_reason"] == "tol reached in descent"
+
     def test_fock_oracle_beyond_sixty_particles(self, tmp_path):
         cfg = FOCK.replace("n_particles = 20", "n_particles = 100").replace(
             "n_max_excited = 20", "n_max_excited = 100"

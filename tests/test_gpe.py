@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -30,8 +31,46 @@ from bogolib.number_shift import StationaryProblem, exact_dxi_dN
 TWO_PI = 2.0 * np.pi
 
 
-def thomas_fermi_mu(u_tilde):
-    return (3.0 * u_tilde / (4.0 * np.sqrt(2.0))) ** (2.0 / 3.0)
+def thomas_fermi_mu(u_tilde, omega=1.0):
+    return (3.0 * u_tilde * omega / (4.0 * np.sqrt(2.0))) ** (2.0 / 3.0)
+
+
+def thomas_fermi_mu_box(u_tilde, omega, length):
+    """Thomas-Fermi mu of a harmonic trap inside a box of this length.
+
+    When the Thomas-Fermi radius sqrt(2 mu)/omega exceeds L/2 the walls
+    clip the profile, and the integral of mu - omega^2 x^2/2 over the box
+    equals u_tilde.
+    """
+    mu = thomas_fermi_mu(u_tilde, omega)
+    half = 0.5 * length
+    if np.sqrt(2.0 * mu) / omega <= half:
+        return mu
+    return (u_tilde + omega**2 * half**3 / 3.0) / (2.0 * half)
+
+
+def fixed_start(shape):
+    """Stand-in for gpe._starting_orbital that always starts from ``shape``."""
+
+    def start(grid, v_real, u_tilde):
+        psi = shape(grid, v_real)
+        return psi / np.sqrt(np.sum(psi**2) * grid.dx)
+
+    return start
+
+
+def named_excited_state(error):
+    """(sign changes, mu) that the certificate's error names."""
+    match = re.search(r"excited state.*mu = (\S+), sign changes of xi = (\d+)", str(error))
+    return int(match.group(2)), float(match.group(1))
+
+
+def exp_shape(grid, v_real):
+    return np.exp(-(v_real - v_real.min()))
+
+
+def one_node_shape(grid, v_real):
+    return (grid.points - grid.center) * np.exp(-(v_real - v_real.min()))
 
 
 class TestSolveStationary:
@@ -89,6 +128,73 @@ class TestSolveStationary:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=10.0, tol=1e-16)
         assert excinfo.value.residual is not None
         assert excinfo.value.residual > 1e-16
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"u_tilde": float("nan")}, "u_tilde must be finite"),
+            ({"u_tilde": float("inf")}, "u_tilde must be finite"),
+            ({"n_particles": -5.0}, "n_particles"),
+            ({"n_particles": 0.0}, "n_particles"),
+            ({"n_particles": float("nan")}, "n_particles"),
+            ({"n_particles": float("inf")}, "n_particles"),
+            ({"tol": float("nan")}, "tol must be positive"),
+            ({"potential_entry": float("nan")}, "potential must be finite"),
+            ({"potential_entry": float("inf")}, "potential must be finite"),
+        ],
+    )
+    def test_non_finite_inputs_rejected(self, trap_grid, bad, match):
+        kwargs = {"u_tilde": 1.0, "n_particles": 10.0, "tol": None}
+        values = harmonic_potential(trap_grid).values.copy()
+        values[7] = bad.pop("potential_entry", values[7])
+        kwargs.update(bad)
+        with pytest.raises(ConfigurationError, match=match):
+            solve_stationary(trap_grid, ComplexField(values, trap_grid), **kwargs)
+
+    def test_nan_residual_never_passes(self, monkeypatch, trap_grid):
+        monkeypatch.setattr(gpe, "_residual_norm", lambda *args: float("nan"))
+        with pytest.raises(ConvergenceError, match="stalled at residual nan"):
+            solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=1.0)
+
+
+# Stiff, coarse box traps at u_tilde = 2000 (n, L, omega), far from the
+# exp(-V) start; the grids do not resolve the healing length.
+STRONG_COUPLING_TRAPS = [(128, 8.0, 3.0), (128, 16.0, 5.0), (256, 40.0, 1.0), (256, 40.0, 5.0)]
+
+
+class TestGroundStateCertificate:
+    @pytest.mark.parametrize("n_points, length, omega", STRONG_COUPLING_TRAPS)
+    def test_strong_coupling_reaches_nodeless_ground_state(self, n_points, length, omega):
+        grid = build_grid(n_points, length, "box")
+        state = solve_stationary(grid, harmonic_potential(grid, omega), u_tilde=2000.0)
+        assert state.residual <= default_tol(grid)
+        assert state.trace.sign_changes == 0
+        xi = state.xi.values.real
+        assert xi.min() > -gpe._NODE_FLOOR * xi.max()
+        assert state.mu == pytest.approx(thomas_fermi_mu_box(2000.0, omega, length), rel=0.03)
+
+    def test_excited_state_from_exp_start_is_named(self, monkeypatch):
+        # From exp(-(V - V_min)) the descent on this stiff, coarse trap ends
+        # near a state with many nodes, and Newton polishes it.
+        monkeypatch.setattr(gpe, "_starting_orbital", fixed_start(exp_shape))
+        n_points, length, omega = STRONG_COUPLING_TRAPS[-1]
+        grid = build_grid(n_points, length, "box")
+        with pytest.raises(ConvergenceError, match="excited state") as excinfo:
+            solve_stationary(grid, harmonic_potential(grid, omega), u_tilde=2000.0)
+        changes, mu = named_excited_state(excinfo.value)
+        assert changes > 0
+        assert mu > 1.1 * thomas_fermi_mu(2000.0, omega)
+        assert excinfo.value.residual <= default_tol(grid)
+
+    def test_one_node_state_is_named(self, monkeypatch, wide_trap_grid):
+        # x exp(-x^2/2) is the first excited state of the linear trap.
+        monkeypatch.setattr(gpe, "_starting_orbital", fixed_start(one_node_shape))
+        grid = wide_trap_grid
+        with pytest.raises(ConvergenceError, match="excited state") as excinfo:
+            solve_stationary(grid, harmonic_potential(grid), u_tilde=0.0)
+        changes, mu = named_excited_state(excinfo.value)
+        assert changes == 1
+        assert mu == pytest.approx(1.5, abs=1e-8)
 
 
 ORIGINAL_SOLVE = gpe._solve_linearized
@@ -243,20 +349,21 @@ class TestNewtonPolish:
         assert spy.calls <= 6
 
     def test_rejected_step_keeps_last_accepted_state(self, monkeypatch, trap_grid):
-        # The first Newton step reaches ~4e-5 <= tol; the second is blown up.
+        # The first Newton step reaches ~1e-12 <= tol; the second is blown up.
         # The returned residual must belong to the returned orbital.
         monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({2: _huge_step}))
-        state = solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0, tol=1e-4)
+        state = solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0, tol=1e-8)
         assert state.residual == pytest.approx(gpe_residual(state))
         assert abs(norm(state.xi) - 1.0) < 1e-12
         assert state.trace.stop_reason == "diverging step"
         assert state.trace.newton_steps == 2
 
     def test_diverging_step_named(self, monkeypatch, trap_grid):
-        monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({2: _huge_step}))
+        # The first Newton step, from the descent's hand-over, is blown up.
+        monkeypatch.setattr(gpe, "_solve_linearized", SolveSpy({1: _huge_step}))
         with pytest.raises(ConvergenceError, match="diverging step") as excinfo:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
-        assert excinfo.value.residual < 1e-3
+        assert excinfo.value.residual < gpe._HANDOVER
         assert excinfo.value.__cause__ is None
 
     def test_failed_solve_named_and_chained(self, monkeypatch, trap_grid):
@@ -266,7 +373,8 @@ class TestNewtonPolish:
         ) as excinfo:
             solve_stationary(trap_grid, harmonic_potential(trap_grid), 10.0)
         assert isinstance(excinfo.value.__cause__, ConvergenceError)
-        assert excinfo.value.residual > 1e-3  # the imaginary-time plateau
+        # The descent's hand-over residual.
+        assert default_tol(trap_grid) < excinfo.value.residual < gpe._HANDOVER
 
 
 class TestDefaultTol:
@@ -299,32 +407,24 @@ class TestSolveTrace:
     def test_records_both_stages(self, trap_states):
         for state in trap_states.values():
             trace = state.trace
-            assert trace.imag_steps == len(state.h1_history) - 2
-            assert trace.imag_rejected >= 0
-            assert 0 < trace.final_dtau <= 0.1
+            assert trace.descent_steps == len(state.h1_history) - 2
+            assert trace.sign_changes == 0
             assert len(trace.residuals) == trace.newton_steps + 1
             assert state.residual == min(trace.residuals)
 
-    def test_imaginary_time_stops_on_its_plateau(self, trap_states):
-        # The split map's O(dtau^2) fixed point stops the first stage near
-        # 1e-2; Newton does the rest.
-        trace = trap_states[10.0].trace
-        assert 1e-3 < trace.residuals[0] < 1e-1
-        assert trace.imag_rejected == 0 and trace.final_dtau == 0.1
-        assert trace.stop_reason == "round-off floor"
+    def test_descent_hands_over_to_newton(self, trap_states, trap_grid):
+        # The descent stops below the hand-over residual; Newton does the rest.
+        for u_tilde in (1.0, 10.0, 50.0):
+            trace = trap_states[u_tilde].trace
+            assert trace.descent_steps > 0
+            assert default_tol(trap_grid) < trace.residuals[0] < gpe._HANDOVER
+            assert trace.stop_reason == "round-off floor"
 
-    def test_counts_rejected_steps(self, trap_grid):
-        # A stiff trap: the first steps raise the energy and halve dtau.
-        state = solve_stationary(trap_grid, harmonic_potential(trap_grid, 3.0), u_tilde=0.0)
-        trace = state.trace
-        assert trace.imag_rejected > 0
-        assert trace.final_dtau < 0.1
-        assert trace.imag_steps == len(state.h1_history) - 2
-
-    def test_exact_start_needs_no_newton(self, uniform_state):
+    def test_exact_start_needs_no_descent_or_newton(self, uniform_state):
+        # At V = 0 both starts are the uniform state itself.
         trace = uniform_state.trace
-        assert trace.stop_reason == "tol reached in imaginary time"
-        assert trace.imag_steps == 0 and trace.newton_steps == 0
+        assert trace.stop_reason == "tol reached in descent"
+        assert trace.descent_steps == 0 and trace.newton_steps == 0
 
     def test_frozen(self, uniform_state):
         with pytest.raises(dataclasses.FrozenInstanceError):
