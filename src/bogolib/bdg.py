@@ -28,6 +28,7 @@ fails, i.e. for a complex frequency, a negative energy or a zero mode.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -145,12 +146,8 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     vectors bit for bit.
     """
     grid = state.grid
-    if K < 1:
-        raise ConfigurationError("K must be at least 1")
-    if K >= grid.n_points - 1:
-        raise ConfigurationError(
-            f"K = {K} too large for grid with {grid.n_points} points"
-        )
+    if not isinstance(K, numbers.Integral) or not 1 <= K < grid.n_points - 1:
+        raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
     candidates = _single_particle_modes(
         grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
     )
@@ -188,10 +185,10 @@ def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:
     grid = state.grid
     if grid.boundary != "periodic":
         raise ConfigurationError("plane-wave basis requires a periodic grid")
+    if not isinstance(K, numbers.Integral) or not 1 <= K < grid.n_points - 1:
+        raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
     if K % 2:
         raise ConfigurationError("K must be even to keep +-k pairs together")
-    if K >= grid.n_points - 1:
-        raise ConfigurationError("K too large for the grid")
     base = 2.0 * np.pi / grid.length
     modes = []
     for j in range(1, K // 2 + 1):

@@ -19,10 +19,9 @@ in three stages.
 
    for the residual r = (T + V + u_tilde xi^2 - mu) xi.  No matrix is
    formed: with e = xi/|xi| and P = I - e e^T, the step is the solution
-   orthogonal to xi of P J P d = P rhs, found by conjugate gradients with T
-   applied through the grid's spectral transform and (T + s)^-1 as
-   preconditioner; then d mu = e.(J d - rhs)/(e.xi).  P J P is positive
-   definite on the complement of xi near the ground state for every
+   orthogonal to xi of P J P d = P rhs, found by conjugate gradients with
+   (T + s)^-1 as preconditioner; then d mu = e.(J d - rhs)/(e.xi).  P J P
+   is positive definite on the complement of xi near the ground state for every
    u_tilde >= 0 (J itself is singular along xi at u_tilde = 0), so one CG
    solve serves each step.  This is Newton-Krylov in the sense of Knoll &
    Keyes, J. Comput. Phys. 193, 357 (2004).  Newton stops as soon as a step
@@ -46,6 +45,9 @@ and the mean-field energy per particle is
     h1 = kinetic + potential + (u_tilde/2) integral |xi|^4 dx,
 
 so mu - h1 = (u_tilde/2) integral |xi|^4 dx holds identically.
+
+Every function of T in a solve (descent, CG, preconditioners, mu, h1 and
+the residual) is one ``grid.spectral_map`` call on a real array.
 """
 
 from __future__ import annotations
@@ -54,10 +56,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.fft
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values
+from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values, spectral_map
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bdg import PhononBasis
@@ -120,8 +121,8 @@ _NEWTON_MAX_STEPS = 40
 # grids with n = 128-8192 and u_tilde = 0-50.
 _CG_RTOL = 1e-14
 _CG_MAX_ITERS = 300
-# The residual floor of a converged solve is 0.3-0.85 eps lambda_max(T)
-# (box and periodic grids, n = 1024-8192); see ``default_tol``.
+# The residual floor of a converged solve is 0.3-1.24 eps lambda_max(T)
+# (box and periodic grids, n = 1024-8192, u_tilde = 2 and 50); see ``default_tol``.
 _FLOOR_FACTOR = 2.0
 # The certificate counts sign changes between samples above this fraction
 # of max|xi|.  An under-resolved ground state has tails that ripple in sign
@@ -136,7 +137,7 @@ def default_tol(grid: Grid1D) -> float:
     The round-off floor of the stationary residual grows with the largest
     kinetic eigenvalue lambda_max of the grid (4x per doubling of n), so a
     fixed target fails on fine grids.  The factor 2 clears the largest
-    measured floor, about 0.85 eps lambda_max; up to n = 1024 on a box of
+    measured floor, about 1.24 eps lambda_max; up to n = 1024 on a box of
     length 16 the target is 1e-11.
     """
     lam_max = float(np.max(grid.kinetic_eigs))
@@ -186,17 +187,6 @@ def _residual_norm(grid, v_real, u_tilde, xi_values, mu):
     return float(np.sqrt(np.vdot(r, r).real * grid.dx))
 
 
-def _spectral_map(grid: Grid1D, weights: np.ndarray):
-    """v -> S diag(weights) S v on real arrays, S the grid's spectral transform."""
-    if grid.boundary == "periodic":
-        n = grid.n_points
-        half = weights[: n // 2 + 1]
-        return lambda v: scipy.fft.irfft(half * scipy.fft.rfft(v), n)
-    return lambda v: scipy.fft.idst(
-        weights * scipy.fft.dst(v, type=1, norm="ortho"), type=1, norm="ortho"
-    )
-
-
 def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     """Solve the bordered system of the module docstring for (d, m).
 
@@ -211,12 +201,11 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     not positive definite at psi) or does not converge in _CG_MAX_ITERS.
     """
     diag = v_real + 3.0 * u_tilde * psi**2 - mu
-    kinetic = _spectral_map(grid, grid.kinetic_eigs)
-    precondition = _spectral_map(grid, 1.0 / (grid.kinetic_eigs + np.median(np.abs(diag))))
+    inverse = 1.0 / (grid.kinetic_eigs + np.median(np.abs(diag)))
     e = psi / np.linalg.norm(psi)
 
     def jacobian(v):
-        return kinetic(v) + diag * v
+        return _kinetic_values(grid, v) + diag * v
 
     def project(v):
         return v - (e @ v) * e
@@ -226,7 +215,7 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     target = _CG_RTOL * np.linalg.norm(rhs)
     iterations = 0
     if np.linalg.norm(r) > target:
-        z = project(precondition(r))
+        z = project(spectral_map(grid, inverse, r))
         p, rz = z, r @ z
         for iterations in range(1, _CG_MAX_ITERS + 1):
             q = project(jacobian(p))
@@ -242,7 +231,7 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
             r -= alpha * q
             if np.linalg.norm(r) <= target:
                 break
-            z = project(precondition(r))
+            z = project(spectral_map(grid, inverse, r))
             rz, rz_old = r @ z, rz
             p = z + (rz / rz_old) * p
         else:
@@ -277,8 +266,7 @@ def _descend(grid, v_real, u_tilde, psi, stop):
     transform.
     """
     dx, v_min = grid.dx, v_real.min()
-    kinetic = _spectral_map(grid, grid.kinetic_eigs)
-    t_psi, energies, direction = kinetic(psi), [], None
+    t_psi, energies, direction = _kinetic_values(grid, psi), [], None
     while True:
         interaction = u_tilde * psi**2
         h_psi = t_psi + (v_real + interaction) * psi
@@ -290,8 +278,9 @@ def _descend(grid, v_real, u_tilde, psi, stop):
             return psi, energies
 
         s = max(mu - v_min, 1.0)
-        half = _spectral_map(grid, (grid.kinetic_eigs + s) ** -0.5)
-        pr = half(s / (v_real - v_min + interaction + s) * half(r))
+        half = (grid.kinetic_eigs + s) ** -0.5
+        scaled = s / (v_real - v_min + interaction + s) * spectral_map(grid, half, r)
+        pr = spectral_map(grid, half, scaled)
         if direction is not None:  # Polak-Ribiere, restarted when not downhill
             direction = max((r - r_old) @ pr / pr_old, 0.0) * direction - pr
         if direction is None or not direction @ r < 0:
@@ -303,7 +292,7 @@ def _descend(grid, v_real, u_tilde, psi, stop):
         # quadratic from three inner products plus the quartic term.  The
         # first angle minimizes its second-order model at t = 0.
         p = direction / np.sqrt(dx * (direction @ direction))
-        t_p = kinetic(p)
+        t_p = _kinetic_values(grid, p)
         cross = dx * (p @ t_psi + v_real @ (p * psi))
         square = dx * (p @ t_p + v_real @ p**2)
         curvature = 2.0 * (square + 3.0 * dx * (interaction @ p**2) - mu)
@@ -380,7 +369,7 @@ def solve_stationary(
         reason = "Newton step cap"
         stop = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor"
         for _ in range(_NEWTON_MAX_STEPS):
-            r_vec = apply_gp_operator(grid, v_real, u_tilde, psi).real - mu * psi
+            r_vec = apply_gp_operator(grid, v_real, u_tilde, psi) - mu * psi
             try:
                 step, _, cg_iters = _solve_linearized(grid, v_real, u_tilde, psi, mu, -r_vec)
             except ConvergenceError as exc:

@@ -8,6 +8,9 @@ Two boundary types are supported (units: hbar = m = 1):
   L/(n+1); derivatives in the sine (DST-I) basis, which builds in the
   wall boundary condition.
 
+The library's one spectral transform S lives here: the boundary picks
+the basis and the dtype the method, and a real array stays real.
+
 All quadrature is the uniform rectangle rule with weight dx, which is
 exact for the periodic spectral representation and consistent with the
 sine basis (integrands vanish at the walls).
@@ -15,6 +18,7 @@ sine basis (integrands vanish at the walls).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -68,10 +72,10 @@ def build_grid(n_points: int, length: float, boundary: str = "periodic") -> Grid
         raise ConfigurationError(
             f"unknown boundary {boundary!r}; expected one of {BOUNDARIES}"
         )
-    if n_points < 8:
-        raise ConfigurationError(f"n_points must be >= 8, got {n_points}")
-    if length <= 0:
-        raise ConfigurationError(f"length must be positive, got {length}")
+    if not isinstance(n_points, numbers.Integral) or n_points < 8:
+        raise ConfigurationError(f"n_points must be an integer >= 8, got {n_points!r}")
+    if not 0 < length < np.inf:
+        raise ConfigurationError(f"length must be positive and finite, got {length}")
 
     if boundary == "periodic":
         if n_points & (n_points - 1):
@@ -90,7 +94,7 @@ def build_grid(n_points: int, length: float, boundary: str = "periodic") -> Grid
         kinetic_eigs = 0.5 * sine_k**2
 
     return Grid1D(
-        n_points=n_points,
+        n_points=int(n_points),
         length=float(length),
         boundary=boundary,
         points=points,
@@ -136,17 +140,13 @@ def norm(f: ComplexField) -> float:
 
 
 def _sine_transform(values: np.ndarray) -> np.ndarray:
-    """Orthonormal DST-I of a real or complex array along its last axis.
+    """Orthonormal DST-I along the last axis, its own inverse; real stays real.
 
-    The transform is real-symmetric and orthogonal, so it is its own
-    inverse. It is computed as one complex FFT of the odd extension
-    [0, v, 0, -v[::-1]] of length 2(n+1) rather than as real DST-I calls
-    on the real and imaginary parts. Besides halving the calls, this avoids
-    the real plan's worst lengths: at n=256, 2(n+1) = 514 = 2*257, and the
-    real DST-I takes a generic radix-257 pass, while the complex FFT of the
-    same length uses Bluestein's chirp-z algorithm and replaces the two real
-    calls in a third of their time.
+    A complex array takes one complex FFT of the odd extension [0, v, 0, -v[::-1]],
+    a third of the time of two real calls at n=256 (514 = 2*257 needs a radix-257 pass).
     """
+    if np.isrealobj(values):
+        return scipy.fft.dst(values, type=1, norm="ortho")
     n = values.shape[-1]
     ext = np.zeros(values.shape[:-1] + (2 * (n + 1),), dtype=np.complex128)
     ext[..., 1 : n + 1] = values
@@ -155,15 +155,31 @@ def _sine_transform(values: np.ndarray) -> np.ndarray:
     return spectrum[..., 1 : n + 1] * (0.5j * np.sqrt(2.0 / (n + 1)))
 
 
+def to_spectral(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """Orthonormal S along the last axis: DST-I on a box, unitary FFT if periodic."""
+    if grid.boundary == "periodic":
+        return scipy.fft.fft(values, norm="ortho")
+    return _sine_transform(values)
+
+
+def from_spectral(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
+    """The inverse of :func:`to_spectral`."""
+    if grid.boundary == "periodic":
+        return scipy.fft.ifft(coeffs, norm="ortho")
+    return _sine_transform(coeffs)
+
+
+def spectral_map(grid: Grid1D, weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """S^-1 diag(weights) S along the last axis, real for real input; weights even in k."""
+    if grid.boundary == "periodic" and np.isrealobj(values):
+        n = grid.n_points
+        return scipy.fft.irfft(weights[: n // 2 + 1] * scipy.fft.rfft(values), n)
+    return from_spectral(grid, weights * to_spectral(grid, values))
+
+
 def _kinetic_values(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     """Apply -1/2 d^2/dx^2 to a raw array, batched along its last axis."""
-    if grid.boundary == "periodic":
-        return scipy.fft.ifft(grid.kinetic_eigs * scipy.fft.fft(values))
-    out = _sine_transform(grid.kinetic_eigs * _sine_transform(values))
-    # The exact result of a real input is real; the complex FFT would add
-    # round-off in the imaginary part, which raises the stationary solver's
-    # residual floor (1.2e-11 -> 1.8e-11 at n=2048).
-    return out.real if np.isrealobj(values) else out
+    return spectral_map(grid, grid.kinetic_eigs, values)
 
 
 def apply_kinetic(f: ComplexField) -> ComplexField:

@@ -6,9 +6,9 @@ The condensate is evolved by a second-order symmetric (Strang) split step of
     extra chemical-potential phase), with no renormalization -- norm
     drift is a measured diagnostic, not an enforced constraint.
 
-The loop runs in the grid's orthonormal spectral basis S (DST-I on a box,
-the unitary FFT on a periodic grid).  With D = exp(-i dt lambda/2) the
-kinetic half step and N_j the potential and nonlinear phase at t_j + dt/2,
+The loop runs in the grid's orthonormal spectral basis S (``grid.to_spectral``,
+the transform the stationary solver applies T with).  With D = exp(-i dt lambda/2)
+the kinetic half step and N_j the potential and nonlinear phase at t_j + dt/2,
 it carries chi_j = D S psi_j, so a step chi_{j+1} = D^2 S N_j S^-1 chi_j
 takes two transforms; psi_j = S^-1 D* chi_j is formed only at stored steps.
 
@@ -37,18 +37,18 @@ numerical motion rather than an algebraic identity.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable
 
 import numpy as np
-import scipy.fft
 import scipy.linalg
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, IntegratorError
 from .gpe import CondensateState, _quadrature_mu_h1, apply_gp_operator
-from .grid import ComplexField, Grid1D, _check_same_grid, _sine_transform, inner_product, norm
+from .grid import (ComplexField, Grid1D, _check_same_grid, from_spectral, inner_product, norm,
+                   to_spectral)
 
 EVOLUTIONS = ("gpe", "linear")
 
@@ -206,20 +206,16 @@ def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -
 
 def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution, basis):
     """The stepping loop behind ``propagate`` and ``propagate_modes``."""
-    if dt <= 0:
-        raise ConfigurationError("dt must be positive")
+    if not 0 < dt < np.inf:
+        raise ConfigurationError("dt must be positive and finite")
     if evolution not in EVOLUTIONS:
         raise ConfigurationError(f"evolution must be one of {EVOLUTIONS}")
-    n_steps = int(round(t_final / dt))
+    n_steps = int(round(t_final / dt)) if np.isfinite(t_final / dt) else 0
     if n_steps < 5 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
-        raise ConfigurationError("t_final must be a multiple of dt (and >= 5 steps)")
-    if stride < 1:
-        raise ConfigurationError("stride must be >= 1")
+        raise ConfigurationError("t_final must be a finite multiple of dt (and >= 5 steps)")
+    if not isinstance(stride, numbers.Integral) or stride < 1:
+        raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
     dx = grid.dx
-    to_spec = from_spec = _sine_transform
-    if grid.boundary == "periodic":
-        to_spec = partial(scipy.fft.fft, norm="ortho")
-        from_spec = partial(scipy.fft.ifft, norm="ortho")
     if basis is not None:
         _check_same_grid(basis.grid, grid)
         phi = basis.mode_matrix.astype(np.complex128)
@@ -227,7 +223,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             raise ConfigurationError("initial basis is not orthonormal")
         if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
             raise ConfigurationError("initial basis is not orthogonal to the condensate")
-        phi = np.ascontiguousarray(to_spec(phi))
+        phi = np.ascontiguousarray(to_spectral(grid, phi))
         phase = 1.0
     u_eff = u_tilde if evolution == "gpe" else 0.0
     half = np.exp(-0.5j * dt * grid.kinetic_eigs)
@@ -240,18 +236,18 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
 
     states: dict[int, np.ndarray] = {0: xi0.copy()}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t = [], [], [], [], [], [], []
-    spec = to_spec(xi0)
+    spec = to_spectral(grid, xi0)
     chi = half * spec
     for j in range(n_steps + 1):
         if j > 0:
-            mid = from_spec(chi)
+            mid = from_spectral(grid, chi)
             w = pot((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
-            chi = full * to_spec(mid * np.exp(-1j * dt * w))
+            chi = full * to_spectral(grid, mid * np.exp(-1j * dt * w))
             if basis is not None:
                 spec_prev, spec = spec, back * chi
                 phase *= _transport(phi, spec_prev, spec, dx)
             if j in needed:
-                states[j] = from_spec(back * chi)
+                states[j] = from_spectral(grid, back * chi)
         if j not in stencil_lo:
             continue
         t = j * dt
@@ -265,7 +261,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         h1_t.append(h1)
         norm_t.append(nrm)
         if basis is not None:
-            modes = phase * from_spec(phi)
+            modes = phase * from_spectral(grid, phi)
             gram_dev = float(np.max(np.abs(modes.conj() @ modes.T * dx - np.eye(basis.K))))
             ovl = float(np.max(np.abs(modes.conj() @ xi.values * dx)))
             if gram_dev > 1e-6 or ovl > 1e-6:

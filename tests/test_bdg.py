@@ -86,6 +86,12 @@ class TestBuildPhononBasis:
             build_phonon_basis(uniform_state, 0)
         with pytest.raises(ConfigurationError):
             build_phonon_basis(uniform_state, 64)
+        for K in (2.5, 4.0, "4"):
+            with pytest.raises(ConfigurationError, match="integer"):
+                build_phonon_basis(uniform_state, K)
+            with pytest.raises(ConfigurationError, match="integer"):
+                plane_wave_basis(uniform_state, K)
+        assert build_phonon_basis(uniform_state, np.int64(4)).K == 4
 
     def test_plane_wave_basis_requires_even_k(self, uniform_state):
         with pytest.raises(ConfigurationError):

@@ -5,16 +5,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bogolib.errors import ConfigurationError, DegeneracyError, DimensionMismatchError
+from bogolib.gpe import gpe_residual, harmonic_potential, solve_stationary
 from bogolib.grid import (
     ComplexField,
     _kinetic_values,
     _sine_transform,
     apply_kinetic,
     build_grid,
+    from_spectral,
     inner_product,
     kinetic_matrix,
     norm,
     orthonormalize,
+    spectral_map,
+    to_spectral,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -49,6 +53,16 @@ class TestBuildGrid:
             build_grid(16, -1.0, "box")
         with pytest.raises(ConfigurationError):
             build_grid(16, 1.0, "moebius")
+        for length in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="length"):
+                build_grid(64, length, "box")
+        for n_points in (64.0, np.float64(64.0), "64"):
+            with pytest.raises(ConfigurationError, match="n_points"):
+                build_grid(n_points, 8.0, "box")
+
+    def test_numpy_integer_points_accepted(self):
+        grid = build_grid(np.int64(64), 8.0, "periodic")
+        assert grid.n_points == 64 and type(grid.n_points) is int
 
 
 class TestApplyKinetic:
@@ -168,6 +182,61 @@ class TestSineTransform:
             if boundary == "box" and np.isrealobj(values):
                 # The stationary solver's residual floor relies on this.
                 assert not np.any(np.imag(out))
+
+
+SPECTRAL_GRIDS = [(n, "box") for n in (128, 255, 256, 1024)] + [
+    (n, "periodic") for n in (128, 1024)
+]
+
+
+class TestSpectralMap:
+    """The grid's one transform S and the operators S^-1 diag(w) S built on it."""
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_real_input_stays_real(self, boundary):
+        grid = build_grid(128, 12.0, boundary)
+        values = np.random.default_rng(5).standard_normal((3, 128))
+        assert spectral_map(grid, grid.kinetic_eigs, values).dtype == np.float64
+        assert _kinetic_values(grid, values[0]).dtype == np.float64
+        complex_out = spectral_map(grid, grid.kinetic_eigs, values + 0j)
+        assert complex_out.dtype == np.complex128
+
+    @pytest.mark.parametrize("n, boundary", SPECTRAL_GRIDS)
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_matches_dense_oracle(self, n, boundary, kind):
+        rng = np.random.default_rng(n)
+        grid = build_grid(n, 12.0, boundary)
+        dense = kinetic_matrix(grid)
+        shift = 3.0
+        resolvent = np.linalg.inv(dense + shift * np.eye(n))
+        values = rng.standard_normal((2, n))
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal((2, n))
+        # The dense inverse carries round-off of order eps * cond(T + shift).
+        for weights, matrix, rtol in (
+            (grid.kinetic_eigs, dense, 1e-13),
+            (1.0 / (grid.kinetic_eigs + shift), resolvent, 1e-11),
+        ):
+            expected = values @ matrix.T
+            out = spectral_map(grid, weights, values)
+            assert np.max(np.abs(out - expected)) < rtol * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n, boundary", SPECTRAL_GRIDS)
+    def test_round_trip(self, n, boundary):
+        rng = np.random.default_rng(n + 2)
+        grid = build_grid(n, 12.0, boundary)
+        for values in (
+            rng.standard_normal(n),
+            rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
+        ):
+            back = from_spectral(grid, to_spectral(grid, values))
+            assert np.max(np.abs(back - values)) < 1e-13 * np.max(np.abs(values))
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_solver_residual_is_the_reported_residual(self, boundary):
+        grid = build_grid(256, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
+        assert state.residual == gpe_residual(state)
 
 
 class TestInnerProduct:

@@ -229,6 +229,13 @@ class TestPropagate:
             propagate(trap_state_u1, t_final=1.0, dt=0.3)  # not a multiple
         with pytest.raises(ConfigurationError):
             propagate(trap_state_u1, t_final=1.0, dt=1e-3, evolution="imaginary")
+        nan, inf = float("nan"), float("inf")
+        for t_final, dt in ((1.0, nan), (1.0, inf), (nan, 1e-3), (inf, 1e-3), (-inf, 1e-3)):
+            with pytest.raises(ConfigurationError):
+                propagate(trap_state_u1, t_final=t_final, dt=dt)
+        for stride in (2.5, 0, "2"):
+            with pytest.raises(ConfigurationError, match="stride"):
+                propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=stride)
 
 
 class TestPropagateModes:
