@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -55,18 +55,28 @@ POSITIVE_NORM_THRESHOLD = 1e-8
 REALITY_TOLERANCE = 1e-9
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class PhononBasis:
-    """Orthonormal mode functions spanning the subspace orthogonal to xi."""
+    """Orthonormal mode functions spanning the subspace orthogonal to xi.
 
-    modes: list[ComplexField]
+    ``mode_matrix`` is a complex (K, n_points) array, row k the values of
+    xi_k on the condensate's grid; it is the only copy of the modes.
+    """
+
+    mode_matrix: np.ndarray
     condensate: ComplexField
-    K: int
 
-    @cached_property
-    def mode_matrix(self) -> np.ndarray:
-        """Stacked (K, n_points) array of mode values."""
-        return np.vstack([m.values for m in self.modes])
+    def __post_init__(self):
+        phi = np.asarray(self.mode_matrix, dtype=np.complex128)
+        if phi.ndim != 2 or phi.shape[1] != self.grid.n_points:
+            raise DimensionMismatchError(
+                f"mode matrix has {phi.shape}, grid expects (K, {self.grid.n_points})"
+            )
+        object.__setattr__(self, "mode_matrix", phi)
+
+    @property
+    def K(self) -> int:
+        return self.mode_matrix.shape[0]
 
     @property
     def grid(self) -> Grid1D:
@@ -91,15 +101,17 @@ class QuadraticHamiltonian:
 class QuasiparticleSpectrum:
     """Quasiparticle energies, transformation matrices, and wavefunctions.
 
-    ``path`` names the diagonalization that produced them: ``"colpa"`` for
-    a positive-definite D, ``"anomalous"`` for the general ``eig``.
+    ``p_waves`` and ``q_waves`` are (K, n_points) arrays, row m the values
+    of p_m and q_m.  ``path`` names the diagonalization that produced them:
+    ``"colpa"`` for a positive-definite D, ``"anomalous"`` for the general
+    ``eig``.
     """
 
     energies: np.ndarray
     c_matrix: np.ndarray
     s_matrix: np.ndarray
-    p_waves: list[ComplexField]
-    q_waves: list[ComplexField]
+    p_waves: np.ndarray
+    q_waves: np.ndarray
     omega_g: float
     stable: bool
     path: str
@@ -172,8 +184,7 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
             f"only {len(accepted)} independent modes found, requested {K}",
             index=len(accepted),
         )
-    modes = [ComplexField(v, grid) for v in accepted]
-    return PhononBasis(modes=modes, condensate=state.xi, K=K)
+    return PhononBasis(np.array(accepted), state.xi)
 
 
 def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:
@@ -189,15 +200,8 @@ def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:
         raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
     if K % 2:
         raise ConfigurationError("K must be even to keep +-k pairs together")
-    base = 2.0 * np.pi / grid.length
-    modes = []
-    for j in range(1, K // 2 + 1):
-        for sign in (+1, -1):
-            k = sign * j * base
-            modes.append(
-                ComplexField(np.exp(1j * k * grid.points) / np.sqrt(grid.length), grid)
-            )
-    return PhononBasis(modes=modes, condensate=state.xi, K=K)
+    ks = np.outer(np.arange(1, K // 2 + 1), [1, -1]).ravel() * (2.0 * np.pi / grid.length)
+    return PhononBasis(np.exp(1j * np.outer(ks, grid.points)) / np.sqrt(grid.length), state.xi)
 
 
 def assemble_from_fields(
@@ -367,13 +371,6 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
     c_matrix = u
     s_matrix = v.conj()
 
-    phi = basis.mode_matrix
-    p_stack = c_matrix.T @ phi
-    q_stack = s_matrix.T @ phi
-    grid = basis.grid
-    p_waves = [ComplexField(row, grid) for row in p_stack]
-    q_waves = [ComplexField(row, grid) for row in q_stack]
-
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
     stable = (not has_complex) and bool(np.all(energies >= -REALITY_TOLERANCE))
 
@@ -381,8 +378,8 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
         energies=energies,
         c_matrix=c_matrix,
         s_matrix=s_matrix,
-        p_waves=p_waves,
-        q_waves=q_waves,
+        p_waves=c_matrix.T @ basis.mode_matrix,
+        q_waves=s_matrix.T @ basis.mode_matrix,
         omega_g=omega_g,
         stable=stable,
         path=path,

@@ -359,17 +359,12 @@ def write_meta(directory: Path, elapsed: float, solver: dict) -> None:
     (directory / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
 
 
-def _mirror(values: np.ndarray, boundary: str) -> np.ndarray:
-    if boundary == "box":
-        return values[::-1]
-    return np.roll(values[::-1], 1)  # periodic mirror about the domain center
-
-
-def _parity_of_wave(values: np.ndarray, boundary: str) -> str:
-    mirrored = _mirror(values, boundary)
-    even = np.linalg.norm(values - mirrored)
-    odd = np.linalg.norm(values + mirrored)
-    return "odd" if odd < even else "even"
+def _parities(waves: np.ndarray, boundary: str) -> list[str]:
+    """"odd" or "even" for each row of a (K, n_points) array, mirrored about the center."""
+    mirrored = waves[:, ::-1] if boundary == "box" else np.roll(waves[:, ::-1], 1, axis=1)
+    even = np.linalg.norm(waves - mirrored, axis=1)
+    odd = np.linalg.norm(waves + mirrored, axis=1)
+    return np.where(odd < even, "odd", "even").tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +443,7 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
         )[:K]
         analytic = np.sort([bogoliubov_dispersion(k, u_tilde, grid.length) for k in ks])
 
-    parities = [_parity_of_wave(w.values, grid.boundary) for w in spectrum.p_waves]
+    parities = _parities(spectrum.p_waves, grid.boundary)
     header = ["mode", "energy", "parity"]
     rows = [[m, float(e), parities[m]] for m, e in enumerate(spectrum.energies)]
     if analytic is not None:
@@ -566,9 +561,10 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
     out.solver["spectrum_path"] = spectrum.path
     report = build_report(problem, state, basis, spectrum)
 
+    # Row by row through grid.norm, so the summary keeps its last digits.
     rel_corrections = [
-        norm(ComplexField(f.values - p.values, grid)) / max(norm(p), 1e-300)
-        for f, p in zip(report.f_waves, spectrum.p_waves)
+        norm(ComplexField(d, grid)) / max(norm(ComplexField(p, grid)), 1e-300)
+        for d, p in zip(report.f_waves - spectrum.p_waves, spectrum.p_waves)
     ]
     out.csv(
         "r_coefficients.csv",

@@ -74,8 +74,8 @@ def build_grid(n_points: int, length: float, boundary: str = "periodic") -> Grid
         )
     if not isinstance(n_points, numbers.Integral) or n_points < 8:
         raise ConfigurationError(f"n_points must be an integer >= 8, got {n_points!r}")
-    if not 0 < length < np.inf:
-        raise ConfigurationError(f"length must be positive and finite, got {length}")
+    if not isinstance(length, numbers.Real) or not 0 < length < np.inf:
+        raise ConfigurationError(f"length must be a positive finite real number, got {length!r}")
 
     if boundary == "periodic":
         if n_points & (n_points - 1):

@@ -171,37 +171,36 @@ def modified_amplitudes(
     spectrum: QuasiparticleSpectrum,
     state: CondensateState,
     r: np.ndarray,
-) -> tuple[list[ComplexField], list[ComplexField]]:
-    """Amplitudes f_m, g_m for adding one particle and one quasiparticle."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes f_m, g_m for adding one particle and one quasiparticle.
+
+    Returns two (K, n_points) arrays, row m the values of f_m and g_m.
+    """
     r = np.asarray(r, dtype=np.complex128)
     if r.shape[0] != spectrum.c_matrix.shape[0]:
         raise DimensionMismatchError(
             f"r has {r.shape[0]} entries, transformation expects "
             f"{spectrum.c_matrix.shape[0]}"
         )
-    coef_f = r @ spectrum.c_matrix
-    coef_g = r @ spectrum.s_matrix
-    grid = state.grid
-    f_waves = [
-        ComplexField(p.values - cf * state.xi.values, grid)
-        for p, cf in zip(spectrum.p_waves, coef_f)
-    ]
-    g_waves = [
-        ComplexField(q.values - cg * state.xi.values, grid)
-        for q, cg in zip(spectrum.q_waves, coef_g)
-    ]
+    xi = state.xi.values
+    f_waves = spectrum.p_waves - np.outer(r @ spectrum.c_matrix, xi)
+    g_waves = spectrum.q_waves - np.outer(r @ spectrum.s_matrix, xi)
     return f_waves, g_waves
 
 
 @dataclass(frozen=True, eq=False)
 class NumberShiftReport:
-    """Everything needed to connect the N and N+1 ground states."""
+    """Everything needed to connect the N and N+1 ground states.
+
+    ``f_waves`` and ``g_waves`` are (K, n_points) arrays, row m the values
+    of f_m and g_m.
+    """
 
     dxi_dN: ComplexField
     r0: float
     r: np.ndarray
-    f_waves: list[ComplexField]
-    g_waves: list[ComplexField]
+    f_waves: np.ndarray
+    g_waves: np.ndarray
     dmu_dN: float
     condensate_amplitude: float
     r0_raw: float = 0.0
@@ -247,12 +246,13 @@ class MatrixElements:
     ``ground_to_ground`` is the leading amplitude sqrt(N+1) * xi(x); the
     per-quasiparticle channels are suppressed by ``channel_order``
     = 1/sqrt(N) relative to it (``f_channels`` create a quasiparticle on
-    top of the particle addition, ``g_channels`` destroy one).
+    top of the particle addition, ``g_channels`` destroy one).  Both are
+    (K, n_points) arrays, row m the channel of quasiparticle m.
     """
 
     ground_to_ground: ComplexField
-    f_channels: list[ComplexField]
-    g_channels: list[ComplexField]
+    f_channels: np.ndarray
+    g_channels: np.ndarray
     condensate_amplitude: float
     channel_order: float
 
@@ -260,15 +260,11 @@ class MatrixElements:
 def matrix_elements(state: CondensateState, report: NumberShiftReport) -> MatrixElements:
     n = state.n_particles
     amp = report.condensate_amplitude
-    grid = state.grid
     order = 1.0 / np.sqrt(n)
-    ground = ComplexField(amp * state.xi.values, grid)
-    f_channels = [ComplexField(amp * order * f.values, grid) for f in report.f_waves]
-    g_channels = [ComplexField(amp * order * g.values, grid) for g in report.g_waves]
     return MatrixElements(
-        ground_to_ground=ground,
-        f_channels=f_channels,
-        g_channels=g_channels,
+        ground_to_ground=ComplexField(amp * state.xi.values, state.grid),
+        f_channels=amp * order * report.f_waves,
+        g_channels=amp * order * report.g_waves,
         condensate_amplitude=amp,
         channel_order=float(order),
     )

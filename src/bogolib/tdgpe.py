@@ -137,7 +137,6 @@ class Trajectory:
     # Per snapshot: max |Gram - I| of the modes and max |<xi_k, xi>|.
     gram_t: np.ndarray | None = None
     overlap_t: np.ndarray | None = None
-    h3_t: list[QuadraticHamiltonian] | None = None
 
     @property
     def n_snapshots(self) -> int:
@@ -218,7 +217,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     dx = grid.dx
     if basis is not None:
         _check_same_grid(basis.grid, grid)
-        phi = basis.mode_matrix.astype(np.complex128)
+        phi = basis.mode_matrix
         if np.max(np.abs(phi.conj() @ phi.T * dx - np.eye(basis.K))) > 1e-8:
             raise ConfigurationError("initial basis is not orthonormal")
         if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
@@ -269,8 +268,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
                     f"mode orthonormality drift {gram_dev:.2e} / overlap {ovl:.2e} "
                     f"at t = {t}; reduce dt"
                 )
-            fields = [ComplexField(row, grid) for row in modes]
-            modes_t.append(PhononBasis(modes=fields, condensate=xi, K=basis.K))
+            modes_t.append(PhononBasis(modes, xi))
             gram_t.append(gram_dev)
             overlap_t.append(ovl)
 
@@ -370,10 +368,7 @@ def trajectory_xi_dot(traj: Trajectory, index: int) -> ComplexField:
 
 
 def h3_of_t(traj: Trajectory, u_tilde: float | None = None) -> list[QuadraticHamiltonian]:
-    """Quadratic-energy coefficients in the instantaneous mode basis.
-
-    The list is also stored on the trajectory (``traj.h3_t``).
-    """
+    """Quadratic-energy coefficients in the instantaneous mode basis, one per snapshot."""
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
     u = traj.u_tilde if u_tilde is None else u_tilde
@@ -388,7 +383,6 @@ def h3_of_t(traj: Trajectory, u_tilde: float | None = None) -> list[QuadraticHam
                 traj.mu_t[i],
             )
         )
-    traj.h3_t = out
     return out
 
 

@@ -104,7 +104,7 @@ def test_criterion_03_kohn_mode(wide_trap_states):
         odd = [
             eps
             for eps, p in zip(spectrum.energies, spectrum.p_waves)
-            if mirror_parity(p.values) == "odd"
+            if mirror_parity(p) == "odd"
         ]
         worst = max(worst, abs(odd[0] - 1.0))
     check(
@@ -272,9 +272,9 @@ def test_criterion_10_number_shift_consistency():
     # f/g reduce exactly to p/q at r = 0.
     spectrum = diagonalize(assemble(state_i, basis_i), basis_i)
     f_waves, g_waves = modified_amplitudes(spectrum, state_i, np.zeros(32))
-    exact_reduction = all(
-        np.array_equal(f.values, p.values) for f, p in zip(f_waves, spectrum.p_waves)
-    ) and all(np.array_equal(g.values, q.values) for g, q in zip(g_waves, spectrum.q_waves))
+    exact_reduction = np.array_equal(f_waves, spectrum.p_waves) and np.array_equal(
+        g_waves, spectrum.q_waves
+    )
 
     check(
         10,

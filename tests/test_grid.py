@@ -53,7 +53,7 @@ class TestBuildGrid:
             build_grid(16, -1.0, "box")
         with pytest.raises(ConfigurationError):
             build_grid(16, 1.0, "moebius")
-        for length in (float("nan"), float("inf")):
+        for length in (float("nan"), float("inf"), "8", 8.0 + 0j, None):
             with pytest.raises(ConfigurationError, match="length"):
                 build_grid(64, length, "box")
         for n_points in (64.0, np.float64(64.0), "64"):

@@ -321,11 +321,7 @@ class TestPropagateModes:
     def test_rejects_bad_basis(self, trap_state_u1, trap_grid):
         traj = propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10)
         rng = np.random.default_rng(0)
-        fields = [
-            ComplexField(rng.standard_normal(trap_grid.n_points).astype(complex), trap_grid)
-            for _ in range(4)
-        ]
-        bad = PhononBasis(modes=fields, condensate=trap_state_u1.xi, K=4)
+        bad = PhononBasis(rng.standard_normal((4, trap_grid.n_points)), trap_state_u1.xi)
         with pytest.raises(ConfigurationError):
             propagate_modes(traj, bad)
         with pytest.raises(ConfigurationError):
@@ -554,7 +550,7 @@ class TestHrDiagnostic:
         ground = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=0.0)
         seeds = [ComplexField(row, trap_grid) for row in build_phonon_basis(ground, 16).mode_matrix]
         basis = PhononBasis(
-            modes=orthonormalize(seeds, against=state.xi), condensate=state.xi, K=16
+            np.array([f.values for f in orthonormalize(seeds, against=state.xi)]), state.xi
         )
         traj = propagate(state, t_final=0.5, dt=5e-5, stride=2500, evolution="linear", basis=basis)
         diags = hr_diagnostic(traj)
