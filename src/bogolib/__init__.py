@@ -48,11 +48,9 @@ from .gpe import (
 from .grid import (
     ComplexField,
     Grid1D,
-    apply_kinetic,
     build_grid,
     inner_product,
     norm,
-    orthonormalize,
 )
 from .homogeneous import (
     AsymptoticsReport,
@@ -87,7 +85,6 @@ from .tdgpe import (
     h3_of_t,
     hr_diagnostic,
     mu_from_rate,
-    mu_of_t,
     propagate,
 )
 

@@ -90,7 +90,6 @@ class QuadraticHamiltonian:
     e3: float
     m_matrix: np.ndarray
     g_matrix: np.ndarray
-    mu: float
 
     @property
     def n_modes(self) -> int:
@@ -224,7 +223,7 @@ def assemble_from_fields(
 
     g_matrix = u_tilde * ((phi.conj() * (xi_values**2 * grid.dx)) @ phi.conj().T)
     e3 = -0.5 * u_tilde * float(np.sum(density**2) * grid.dx)
-    return QuadraticHamiltonian(e3=e3, m_matrix=m_matrix, g_matrix=g_matrix, mu=float(mu))
+    return QuadraticHamiltonian(e3=e3, m_matrix=m_matrix, g_matrix=g_matrix)
 
 
 def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian:
@@ -270,22 +269,6 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
     return energies, t[:k], t[k:]
 
 
-def _bdg_eigensystem(m_matrix: np.ndarray, g_matrix: np.ndarray):
-    """All eigenpairs of [[M, G], [-G*, -M*]] with their symplectic norms."""
-    k = m_matrix.shape[0]
-    block = np.zeros((2 * k, 2 * k), dtype=np.complex128)
-    block[:k, :k] = m_matrix
-    block[:k, k:] = g_matrix
-    block[k:, :k] = -g_matrix.conj()
-    block[k:, k:] = -m_matrix.conj()
-    eigvals, eigvecs = scipy.linalg.eig(block)
-    u = eigvecs[:k, :]
-    v = eigvecs[k:, :]
-    norms = (np.sum(np.abs(u) ** 2, axis=0) - np.sum(np.abs(v) ** 2, axis=0)).real
-    total = np.sum(np.abs(u) ** 2, axis=0) + np.sum(np.abs(v) ** 2, axis=0)
-    return eigvals, u, v, norms / total
-
-
 def _anomalous_branch(m_matrix: np.ndarray, g_matrix: np.ndarray):
     """K eigenpairs of sigma D by the general ``eig`` when D is not definite.
 
@@ -296,7 +279,13 @@ def _anomalous_branch(m_matrix: np.ndarray, g_matrix: np.ndarray):
     eigenvalue of sigma D is complex.
     """
     k = m_matrix.shape[0]
-    eigvals, u, v, rel_norms = _bdg_eigensystem(m_matrix, g_matrix)
+    block = np.block([[m_matrix, g_matrix], [-g_matrix.conj(), -m_matrix.conj()]])
+    eigvals, eigvecs = scipy.linalg.eig(block.astype(np.complex128))
+    u = eigvecs[:k, :]
+    v = eigvecs[k:, :]
+    u_sq = np.sum(np.abs(u) ** 2, axis=0)
+    v_sq = np.sum(np.abs(v) ** 2, axis=0)
+    rel_norms = (u_sq - v_sq) / (u_sq + v_sq)
 
     anomalies: list[str] = []
     complex_mask = np.abs(eigvals.imag) > REALITY_TOLERANCE

@@ -55,7 +55,6 @@ from .tdgpe import (
     hr_diagnostic,
     mu_from_rate,
     propagate,
-    trajectory_xi_dot,
 )
 
 SCENARIOS = (
@@ -176,6 +175,8 @@ def _parse_potential_spec(spec: str):
             omega = float(inner)
         except ValueError:
             raise ConfigurationError(f"bad harmonic frequency {inner!r}") from None
+        if not np.isfinite(omega):
+            raise ConfigurationError(f"potential {spec!r} has a non-finite value")
         if omega <= 0:
             raise ConfigurationError("harmonic frequency must be positive")
         return ("harmonic", omega)
@@ -187,6 +188,8 @@ def _parse_potential_spec(spec: str):
             w_from, w_to, t_switch = (float(p) for p in parts)
         except ValueError:
             raise ConfigurationError(f"bad quench parameters {spec!r}") from None
+        if not np.all(np.isfinite([w_from, w_to, t_switch])):
+            raise ConfigurationError(f"potential {spec!r} has a non-finite value")
         if w_from <= 0 or w_to <= 0 or t_switch < 0:
             raise ConfigurationError("quench frequencies must be positive, t_switch >= 0")
         return ("quench", w_from, w_to, t_switch)
@@ -501,7 +504,7 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
     rows = []
     mu_rate_dev = 0.0
     for i, t in enumerate(traj.times):
-        mu_rate = mu_from_rate(traj.xi_t[i], trajectory_xi_dot(traj, i))
+        mu_rate = mu_from_rate(traj.xi_t[i], ComplexField(traj.xi_dot_t[i], grid))
         mu_rate_dev = max(mu_rate_dev, abs(mu_rate - traj.mu_t[i]))
         rows.append(
             [

@@ -26,7 +26,7 @@ import scipy.fft
 import scipy.linalg
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import ConfigurationError, DegeneracyError, DimensionMismatchError
+from .errors import ConfigurationError, DimensionMismatchError
 
 BOUNDARIES = ("periodic", "box")
 
@@ -182,11 +182,6 @@ def _kinetic_values(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     return spectral_map(grid, grid.kinetic_eigs, values)
 
 
-def apply_kinetic(f: ComplexField) -> ComplexField:
-    """Spectral evaluation of -1/2 f''."""
-    return ComplexField(_kinetic_values(f.grid, f.values), f.grid)
-
-
 def kinetic_matrix(grid: Grid1D) -> np.ndarray:
     """Dense real-symmetric matrix of -1/2 d^2/dx^2 on the grid, in O(n^2).
 
@@ -209,49 +204,3 @@ def kinetic_matrix(grid: Grid1D) -> np.ndarray:
     hankel = sliding_window_view(c[2 : 2 * n + 1], n)
     return toeplitz - hankel
 
-
-def orthonormalize(
-    fields: list[ComplexField],
-    against: ComplexField | None = None,
-    dependency_tol: float = 1e-10,
-) -> list[ComplexField]:
-    """Modified Gram-Schmidt with reorthogonalization.
-
-    Returns fields with unit L2 norm and mutual overlaps at round-off
-    level; each output is also orthogonal to ``against`` when supplied.
-
-    Raises
-    ------
-    DegeneracyError
-        If an input loses essentially all of its norm under projection
-        (post-projection norm below ``dependency_tol``); the error names
-        the offending input index.
-    """
-    if not fields:
-        return []
-    grid = fields[0].grid
-    basis: list[np.ndarray] = []
-    if against is not None:
-        _check_same_grid(against.grid, grid)
-        a = against.values / np.sqrt(np.vdot(against.values, against.values).real * grid.dx)
-        basis.append(a)
-
-    out: list[ComplexField] = []
-    for idx, f in enumerate(fields):
-        _check_same_grid(grid, f.grid)
-        v = f.values.astype(np.complex128, copy=True)
-        for _ in range(2):  # second pass controls round-off amplification
-            for b in basis:
-                v -= b * (np.vdot(b, v) * grid.dx)
-        nrm = np.sqrt(np.vdot(v, v).real * grid.dx)
-        if nrm < dependency_tol:
-            raise DegeneracyError(
-                f"input field {idx} is numerically dependent on the preceding "
-                f"set (residual norm {nrm:.3e})",
-                index=idx,
-            )
-        v /= nrm
-        basis.append(v)
-        out.append(ComplexField(v, grid))
-
-    return out

@@ -30,9 +30,10 @@ The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
 kinematic coefficients hr_k = -<xi_k | i dxi/dt> exactly when the
 condensate follows the equation above, and fail to cancel otherwise.
-Here dxi/dt is measured from the stored trajectory by fourth-order
-finite differences, so the cancellation is a property of the actual
-numerical motion rather than an algebraic identity.
+Here dxi/dt is measured once per snapshot, by fourth-order finite
+differences over the fine steps around it (``Trajectory.xi_dot_t``), so
+the cancellation is a property of the actual numerical motion rather
+than an algebraic identity.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class TrapQuench:
     _v_to: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.omega_from, self.omega_to, self.t_switch])):
+            raise ConfigurationError("quench frequencies and t_switch must be finite")
         x = self.grid.points - self.grid.center
         object.__setattr__(self, "_v_from", 0.5 * self.omega_from**2 * x**2)
         object.__setattr__(self, "_v_to", 0.5 * self.omega_to**2 * x**2)
@@ -130,9 +133,9 @@ class Trajectory:
     evolution: str
     potential_of_t: Callable[[float], np.ndarray]
     n_particles: float
-    # Fine-step neighborhoods for finite-difference time derivatives:
-    # per snapshot, (offsets in units of dt, list of value arrays).
-    stencils: list = field(default=None, repr=False)
+    # (n_snapshots, n_points): dxi/dt at each snapshot by fourth-order finite
+    # differences over five consecutive fine steps, centered where they fit.
+    xi_dot_t: np.ndarray = field(repr=False)
     modes_t: list[PhononBasis] | None = None
     # Per snapshot: max |Gram - I| of the modes and max |<xi_k, xi>|.
     gram_t: np.ndarray | None = None
@@ -252,7 +255,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         t = j * dt
         xi = ComplexField(states[j], grid)
         nrm = norm(xi)
-        if abs(nrm - 1.0) > 1e-6:
+        if not abs(nrm - 1.0) <= 1e-6:  # also catches NaN
             raise IntegratorError(f"norm drifted to {nrm} at t = {t}; reduce dt")
         mu, h1, _ = _quadrature_mu_h1(grid, pot(t), u_tilde, xi.values)
         xi_t.append(xi)
@@ -263,7 +266,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             modes = phase * from_spectral(grid, phi)
             gram_dev = float(np.max(np.abs(modes.conj() @ modes.T * dx - np.eye(basis.K))))
             ovl = float(np.max(np.abs(modes.conj() @ xi.values * dx)))
-            if gram_dev > 1e-6 or ovl > 1e-6:
+            if not (gram_dev <= 1e-6 and ovl <= 1e-6):
                 raise IntegratorError(
                     f"mode orthonormality drift {gram_dev:.2e} / overlap {ovl:.2e} "
                     f"at t = {t}; reduce dt"
@@ -272,10 +275,11 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             gram_t.append(gram_dev)
             overlap_t.append(ovl)
 
-    stencils = [
-        (np.arange(lo - j, lo - j + 5), [states[lo + i] for i in range(5)])
+    xi_dot_t = np.array([
+        _fd_first_derivative_weights(np.arange(lo - j, lo - j + 5, dtype=float))
+        @ np.stack([states[lo + i] for i in range(5)]) / dt
         for j, lo in stencil_lo.items()
-    ]
+    ])
     with_modes = basis is not None
     return Trajectory(
         times=np.array([j * dt for j in snapshot_steps]),
@@ -291,7 +295,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         evolution=evolution,
         potential_of_t=pot,
         n_particles=n_particles,
-        stencils=stencils,
+        xi_dot_t=xi_dot_t,
         modes_t=modes_t if with_modes else None,
         gram_t=np.asarray(gram_t) if with_modes else None,
         overlap_t=np.asarray(overlap_t) if with_modes else None,
@@ -312,7 +316,8 @@ def propagate(
     ``evolution="linear"`` drops the nonlinear term from the stepping
     while keeping the physical u_tilde in the trajectory metadata -- the
     deliberately wrong motion used to show the expansion's validity
-    condition is necessary.
+    condition is necessary.  Every trajectory stores dxi/dt at each
+    snapshot (``xi_dot_t``), differenced from the fine steps around it.
 
     With a ``basis`` (orthonormal modes orthogonal to the initial
     condensate), each split step also parallel-transports the modes; the
@@ -328,7 +333,7 @@ def propagate(
         If the basis lives on another grid (n_points, length or boundary).
     IntegratorError
         If the norm, the mode orthonormality or the mode-condensate overlap
-        drifts beyond 1e-6 at any stored time.
+        drifts beyond 1e-6, or is NaN, at any stored time.
     """
     if potential_of_t is None:
         potential_of_t = StaticPotential(initial.potential.values.real.copy())
@@ -347,24 +352,9 @@ def propagate_modes(traj: Trajectory, initial_basis: PhononBasis) -> Trajectory:
                    traj.evolution, initial_basis)
 
 
-def mu_of_t(xi: ComplexField, potential, u_tilde: float) -> float:
-    """Chemical-potential functional (kinetic + trap + full interaction)."""
-    values = potential.values.real if isinstance(potential, ComplexField) else potential
-    mu, _, _ = _quadrature_mu_h1(xi.grid, values, u_tilde, xi.values)
-    return mu
-
-
 def mu_from_rate(xi: ComplexField, xi_dot: ComplexField) -> float:
     """Equivalent form i <xi, dxi/dt> (real part) along the motion."""
     return float((1j * inner_product(xi, xi_dot)).real)
-
-
-def trajectory_xi_dot(traj: Trajectory, index: int) -> ComplexField:
-    """Fourth-order finite-difference time derivative at a stored time."""
-    offsets, arrays = traj.stencils[index]
-    weights = _fd_first_derivative_weights(np.asarray(offsets, dtype=float))
-    stack = np.stack(arrays)
-    return ComplexField(weights @ stack / traj.dt, traj.grid)
 
 
 def h3_of_t(traj: Trajectory, u_tilde: float | None = None) -> list[QuadraticHamiltonian]:
@@ -390,7 +380,8 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
     """Cancellation check between phonon-linear and kinematic coefficients.
 
     h2_k projects the full interacting right-hand side (physical u_tilde)
-    onto the modes; hr_k projects -i times the measured time derivative.
+    onto the modes; hr_k projects -i times the measured time derivative
+    ``traj.xi_dot_t``.
     Their sum vanishes exactly when the stored motion solves the
     interacting equation, and is of order u_tilde times the projected
     nonlinearity when it does not.
@@ -404,8 +395,7 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
         phi = traj.modes_t[i].mode_matrix
         gp = apply_gp_operator(grid, traj.potential_of_t(t), traj.u_tilde, xi)
         h2 = phi.conj() @ gp * grid.dx
-        xi_dot = trajectory_xi_dot(traj, i).values
-        hr = -1j * (phi.conj() @ xi_dot) * grid.dx
+        hr = -1j * (phi.conj() @ traj.xi_dot_t[i]) * grid.dx
         mismatch = float(np.linalg.norm(h2 + hr))
         out.append(HrDiagnostic(time=float(t), h2_vector=h2, hr_vector=hr, mismatch=mismatch))
     return out

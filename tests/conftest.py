@@ -34,3 +34,14 @@ def trap_states(trap_grid):
     return {
         ut: solve_stationary(trap_grid, pot, u_tilde=ut) for ut in (0.0, 1.0, 10.0, 50.0)
     }
+
+
+def orthonormal_modes(rows, xi):
+    """Orthonormal (K, n_points) basis of span(rows) projected off the condensate xi.
+
+    One Householder QR of the columns [xi, rows]: Q's later columns span the
+    rows' part orthogonal to xi and stay orthogonal to it to round-off,
+    however ill-conditioned the rows are.
+    """
+    q, _ = np.linalg.qr(np.column_stack([xi.values, np.asarray(rows).T]))
+    return np.ascontiguousarray(q[:, 1:].T) / np.sqrt(xi.grid.dx)

@@ -16,8 +16,10 @@ from bogolib.bdg import (
 )
 from bogolib.errors import ConfigurationError, DimensionMismatchError, InstabilityError
 from bogolib.gpe import h2_coefficients, harmonic_potential, solve_stationary, zero_potential
-from bogolib.grid import ComplexField, _kinetic_values, build_grid, kinetic_matrix, orthonormalize
+from bogolib.grid import ComplexField, _kinetic_values, build_grid, kinetic_matrix
 from bogolib.homogeneous import bogoliubov_dispersion
+
+from conftest import orthonormal_modes
 
 TWO_PI = 2.0 * np.pi
 
@@ -303,7 +305,7 @@ class TestDiagonalize:
         assert calls == []
         basis = plane_wave_basis(uniform_state, 2)
         for m, g in _INDEFINITE:
-            diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g, mu=0.0), basis)
+            diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g), basis)
         assert len(calls) == len(_INDEFINITE)
 
     def test_completeness_reconstruction(self, trap_states):
@@ -324,13 +326,8 @@ class TestDiagonalize:
         grid = state.grid
         eig_basis = build_phonon_basis(state, 40)
         centers = np.linspace(1.5, grid.length - 1.5, 40)
-        bumps = [
-            ComplexField(np.exp(-0.5 * ((grid.points - c) / 0.55) ** 2).astype(complex), grid)
-            for c in centers
-        ]
-        bump_basis = PhononBasis(
-            np.array([f.values for f in orthonormalize(bumps, against=state.xi)]), state.xi
-        )
+        bumps = np.exp(-0.5 * ((grid.points - centers[:, None]) / 0.55) ** 2)
+        bump_basis = PhononBasis(orthonormal_modes(bumps, state.xi), state.xi)
         e_eig = diagonalize(assemble(state, eig_basis), eig_basis).energies
         e_bump = diagonalize(assemble(state, bump_basis), bump_basis).energies
         assert np.max(np.abs(e_eig[:5] - e_bump[:5])) < 1e-7
@@ -378,7 +375,6 @@ class TestStability:
             e3=0.0,
             m_matrix=np.diag([-1.0, 2.0]).astype(complex),
             g_matrix=np.zeros((2, 2), dtype=complex),
-            mu=0.0,
         )
         spec = diagonalize(qh, basis)
         report = check_stability(spec)
@@ -402,7 +398,7 @@ class TestStability:
         basis = plane_wave_basis(uniform_state, 2)
         m = np.diag([1.0, 1.0]).astype(complex)
         g = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
-        spec = diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g, mu=0.0), basis)
+        spec = diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g), basis)
         assert not spec.stable
         assert spec.anomalies
         assert np.max(np.abs(spec.energies)) < 1e-9  # real parts of +-i sqrt(3)
@@ -436,7 +432,7 @@ class TestH3Expectation:
 
     def test_indefinite_hamiltonian_raises(self):
         for m, g in _INDEFINITE:
-            qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g, mu=0.0)
+            qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g)
             with pytest.raises(InstabilityError, match="not positive definite"):
                 h3_expectation(qh, np.zeros(2))
 

@@ -134,6 +134,26 @@ class TestValidate:
         assert main(["validate", path]) == 2
         assert "delta_n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "harmonic(nan)",
+            "harmonic(inf)",
+            "quench(1.0,1.2,nan)",
+            "quench(nan,1.2,0.0)",
+            "quench(1.0,inf,0.0)",
+            "quench(1.0,1.2,inf)",
+        ],
+    )
+    def test_non_finite_potential_names_spec(self, tmp_path, capsys, spec):
+        # A dynamics run takes both harmonic and quench potentials.
+        dynamics = STATIONARY_LINEAR.replace("name = stationary", "name = dynamics")
+        assert main(["validate", write_config(tmp_path, dynamics, outdir=tmp_path / "out")]) == 0
+        capsys.readouterr()
+        bad = dynamics.replace("harmonic(1.0)", spec)
+        assert main(["validate", write_config(tmp_path, bad, outdir=tmp_path / "out")]) == 2
+        assert spec in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(
             tmp_path, UNIFORM_SPECTRUM + "\n[plotting]\nstyle = dark\n", outdir=tmp_path

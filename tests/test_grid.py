@@ -4,19 +4,16 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bogolib.errors import ConfigurationError, DegeneracyError, DimensionMismatchError
+from bogolib.errors import ConfigurationError, DimensionMismatchError
 from bogolib.gpe import gpe_residual, harmonic_potential, solve_stationary
 from bogolib.grid import (
     ComplexField,
     _kinetic_values,
     _sine_transform,
-    apply_kinetic,
     build_grid,
     from_spectral,
     inner_product,
     kinetic_matrix,
-    norm,
-    orthonormalize,
     spectral_map,
     to_spectral,
 )
@@ -63,6 +60,11 @@ class TestBuildGrid:
     def test_numpy_integer_points_accepted(self):
         grid = build_grid(np.int64(64), 8.0, "periodic")
         assert grid.n_points == 64 and type(grid.n_points) is int
+
+
+def apply_kinetic(f):
+    """-1/2 f'' through the public spectral map."""
+    return ComplexField(spectral_map(f.grid, f.grid.kinetic_eigs, f.values), f.grid)
 
 
 class TestApplyKinetic:
@@ -275,55 +277,3 @@ class TestInnerProduct:
         grid = build_grid(16, 3.0, "box")
         f, g = random_field(grid, rng), random_field(grid, rng)
         assert inner_product(f, g) == pytest.approx(np.conj(inner_product(g, f)), abs=1e-12)
-
-
-class TestOrthonormalize:
-    def test_idempotent_on_orthonormal_set(self):
-        grid = build_grid(32, TWO_PI, "periodic")
-        waves = [
-            ComplexField(np.exp(1j * k * grid.points) / np.sqrt(TWO_PI), grid)
-            for k in (1.0, 2.0)
-        ]
-        out = orthonormalize(waves)
-        for before, after in zip(waves, out):
-            phase = inner_product(after, before)
-            assert np.max(np.abs(before.values - phase * after.values)) < 1e-12
-
-    def test_hand_gram_schmidt(self):
-        # {1/sqrt(L), (1 + e^{ikx})/sqrt(2L)}: removing the constant leaves
-        # e^{ikx}/sqrt(2L), which normalizes to e^{ikx}/sqrt(L).
-        grid = build_grid(32, TWO_PI, "periodic")
-        L = TWO_PI
-        const = ComplexField(np.full(32, 1 / np.sqrt(L), dtype=complex), grid)
-        mixed = ComplexField((1 + np.exp(1j * grid.points)) / np.sqrt(2 * L), grid)
-        out = orthonormalize([const, mixed])
-        target = np.exp(1j * grid.points) / np.sqrt(L)
-        phase = np.vdot(out[1].values, target) * grid.dx
-        assert np.max(np.abs(out[1].values * phase - target)) < 1e-12
-
-    def test_degenerate_input_names_index(self):
-        grid = build_grid(16, 4.0, "box")
-        f = ComplexField(np.sin(np.pi * grid.points / 4.0), grid)
-        with pytest.raises(DegeneracyError) as excinfo:
-            orthonormalize([f.copy()], against=f)
-        assert excinfo.value.index == 0
-
-    def test_gram_identity_and_span(self):
-        rng = np.random.default_rng(11)
-        grid = build_grid(32, 7.0, "box")
-        fields = [random_field(grid, rng) for _ in range(5)]
-        against = random_field(grid, rng)
-        out = orthonormalize(fields, against=against)
-        mat = np.vstack([f.values for f in out])
-        gram = mat.conj() @ mat.T * grid.dx
-        assert np.max(np.abs(gram - np.eye(5))) < 1e-12
-        a_hat = against.values / norm(against)
-        for f in out:
-            assert abs(np.vdot(a_hat, f.values) * grid.dx) < 1e-12
-        # Span check: each input is reproduced by its expansion in the
-        # output basis plus its component along `against`.
-        for f in fields:
-            coeffs = mat.conj() @ f.values * grid.dx
-            a_coeff = np.vdot(a_hat, f.values) * grid.dx
-            recon = coeffs @ mat + a_coeff * a_hat
-            assert np.max(np.abs(recon - f.values)) / np.max(np.abs(f.values)) < 1e-10

@@ -5,21 +5,28 @@ import scipy.fft
 from bogolib import tdgpe
 from bogolib.bdg import PhononBasis, build_phonon_basis
 from bogolib.errors import ConfigurationError, DimensionMismatchError, IntegratorError
-from bogolib.gpe import CondensateState, apply_gp_operator, harmonic_potential, solve_stationary
-from bogolib.grid import ComplexField, _sine_transform, build_grid, inner_product, orthonormalize
+from bogolib.gpe import (
+    CondensateState,
+    apply_gp_operator,
+    chemical_potential,
+    harmonic_potential,
+    solve_stationary,
+)
+from bogolib.grid import ComplexField, _sine_transform, build_grid, inner_product
 from bogolib.tdgpe import (
     TrapQuench,
     TrapRamp,
+    _fd_first_derivative_weights,
     _transport,
     center_of_mass,
     h3_of_t,
     hr_diagnostic,
     mu_from_rate,
-    mu_of_t,
     propagate,
     propagate_modes,
-    trajectory_xi_dot,
 )
+
+from conftest import orthonormal_modes
 
 TWO_PI = 2.0 * np.pi
 
@@ -237,6 +244,23 @@ class TestPropagate:
             with pytest.raises(ConfigurationError, match="stride"):
                 propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=stride)
 
+    def test_nan_motion_raises_integrator_error(self):
+        # A NaN norm must fail the drift guard, not pass it as "not > 1e-6".
+        grid = build_grid(64, 8.0, "box")
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=1.0)
+        nan_trap = TrapRamp(grid, 1.0, float("nan"), t0=0.0, t1=0.005)
+        with pytest.raises(IntegratorError, match="norm drifted to nan"):
+            propagate(state, t_final=0.01, dt=1e-3, potential_of_t=nan_trap, stride=5)
+
+    @pytest.mark.parametrize("lo", [0, -1, -2, -3, -4])
+    def test_fd_weights_are_exact_on_quartics(self, lo):
+        offsets = np.arange(lo, lo + 5, dtype=float)
+        weights = _fd_first_derivative_weights(offsets)
+        for p in range(5):
+            assert weights @ offsets**p == pytest.approx(float(p == 1), abs=1e-12)
+        if lo == -2:
+            assert np.allclose(weights, [1 / 12, -2 / 3, 0.0, 2 / 3, -1 / 12], rtol=0, atol=1e-15)
+
 
 class TestPropagateModes:
     def test_stationary_modes_keep_modulus_and_gain_common_phase(self, trap_state_u1):
@@ -356,6 +380,19 @@ class TestPropagateModes:
         with pytest.raises(IntegratorError):
             propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=100, basis=basis)
 
+    def test_nan_modes_trigger_integrator_error(self, trap_state_u1, monkeypatch):
+        real = tdgpe._transport
+
+        def poisoned(phi, psi0, psi1, dx):
+            phase = real(phi, psi0, psi1, dx)
+            phi[0, 0] = np.nan
+            return phase
+
+        monkeypatch.setattr(tdgpe, "_transport", poisoned)
+        basis = build_phonon_basis(trap_state_u1, 4)
+        with pytest.raises(IntegratorError, match="orthonormality drift nan"):
+            propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=5, basis=basis)
+
 
 @pytest.fixture(scope="module")
 def ramp_states(trap_grid):
@@ -384,9 +421,13 @@ class TestSpectralLoop:
             j = int(round(t / traj.dt))
             assert np.max(np.abs(traj.xi_t[i].values - states[j])) <= 1e-11
             assert np.max(np.abs(traj.modes_t[i].mode_matrix - modes[i])) <= 1e-11
-            offsets, arrays = traj.stencils[i]
-            for offset, values in zip(offsets, arrays):
-                assert np.max(np.abs(values - states[j + offset])) <= 1e-11
+            # The same five-step difference of the reference states; a 1e-11
+            # error per state reaches dxi/dt scaled by sum |w| / dt.
+            lo = min(max(j - 2, 0), traj.n_steps - 4)
+            weights = _fd_first_derivative_weights(np.arange(lo - j, lo - j + 5, dtype=float))
+            xi_dot = weights @ np.stack(states[lo : lo + 5]) / traj.dt
+            bound = 1e-11 * np.sum(np.abs(weights)) / traj.dt
+            assert np.max(np.abs(traj.xi_dot_t[i] - xi_dot)) <= bound
 
     def test_initial_snapshot_is_the_input(self, ramp_states):
         state = ramp_states["box"]
@@ -467,29 +508,29 @@ class TestTransport:
         assert len(seen) == 10 and all(seen)
 
 
+def rate_form(traj, i):
+    return mu_from_rate(traj.xi_t[i], ComplexField(traj.xi_dot_t[i], traj.grid))
+
+
 class TestMuOfT:
     def test_stationary_consistency(self, trap_state_u1):
         traj = propagate(trap_state_u1, t_final=0.5, dt=1e-3, stride=100)
+        # mu_t is the functional of gpe.chemical_potential, evaluated per snapshot.
+        assert traj.mu_t[0] == chemical_potential(trap_state_u1)
         for i in range(len(traj.times)):
-            functional = mu_of_t(traj.xi_t[i], trap_state_u1.potential, 1.0)
-            rate_form = mu_from_rate(traj.xi_t[i], trajectory_xi_dot(traj, i))
-            assert functional == pytest.approx(trap_state_u1.mu, abs=1e-8)
-            assert rate_form == pytest.approx(functional, abs=1e-8)
+            assert traj.mu_t[i] == pytest.approx(trap_state_u1.mu, abs=1e-8)
+            assert rate_form(traj, i) == pytest.approx(traj.mu_t[i], abs=1e-8)
 
     def test_uniform_value(self, uniform_state, uniform_grid):
-        assert mu_of_t(uniform_state.xi, uniform_state.potential, 2.0) == pytest.approx(
+        assert chemical_potential(uniform_state) == pytest.approx(
             2.0 / uniform_grid.length, abs=1e-14
         )
 
     def test_quench_dual_forms_track(self, quench_setup):
         traj, _ = quench_setup
-        mus = []
-        for i, t in enumerate(traj.times):
-            functional = mu_of_t(traj.xi_t[i], traj.potential_of_t(t), traj.u_tilde)
-            rate_form = mu_from_rate(traj.xi_t[i], trajectory_xi_dot(traj, i))
-            assert rate_form == pytest.approx(functional, abs=1e-7)
-            mus.append(functional)
-        assert np.ptp(mus) > 1e-4  # mu(t) genuinely varies after the quench
+        for i in range(len(traj.times)):
+            assert rate_form(traj, i) == pytest.approx(traj.mu_t[i], abs=1e-7)
+        assert np.ptp(traj.mu_t) > 1e-4  # mu(t) genuinely varies after the quench
 
 
 class TestH3OfT:
@@ -548,10 +589,8 @@ class TestHrDiagnostic:
         # displaced packet so the coefficients are far from trivial.
         state = displaced_gaussian_state(trap_grid, 1.0)
         ground = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=0.0)
-        seeds = [ComplexField(row, trap_grid) for row in build_phonon_basis(ground, 16).mode_matrix]
-        basis = PhononBasis(
-            np.array([f.values for f in orthonormalize(seeds, against=state.xi)]), state.xi
-        )
+        seeds = build_phonon_basis(ground, 16).mode_matrix
+        basis = PhononBasis(orthonormal_modes(seeds, state.xi), state.xi)
         traj = propagate(state, t_final=0.5, dt=5e-5, stride=2500, evolution="linear", basis=basis)
         diags = hr_diagnostic(traj)
         assert max(np.linalg.norm(d.h2_vector) for d in diags) > 0.1
@@ -582,6 +621,13 @@ class TestTimeDependentPotentials:
         x = trap_grid.points - trap_grid.center
         assert np.array_equal(quench(0.0), 0.5 * x**2)
         assert np.array_equal(quench(0.5), 2.0 * x**2)
+
+    @pytest.mark.parametrize(
+        "params", [(float("nan"), 1.2, 0.0), (1.0, float("inf"), 0.0), (1.0, 1.2, float("nan"))]
+    )
+    def test_quench_rejects_non_finite_parameters(self, trap_grid, params):
+        with pytest.raises(ConfigurationError, match="finite"):
+            TrapQuench(trap_grid, *params)
 
     def test_ramp_is_smooth_and_monotone(self, trap_grid):
         ramp = TrapRamp(trap_grid, 1.0, 2.0, t0=0.0, t1=1.0)
