@@ -243,11 +243,10 @@ def load_config(path: str) -> dict:
         for key in SCHEMA["grid"]:
             if key not in config["grid"]:
                 raise ConfigurationError(f"missing required key [grid] {key}")
+        gridcfg = config["grid"]
+        grid = build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
         if "tol" not in config["numerics"]:
-            gridcfg = config["grid"]
-            config["numerics"]["tol"] = default_tol(
-                build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
-            )
+            config["numerics"]["tol"] = default_tol(grid)
     elif config["grid"]:
         raise ConfigurationError(f"[grid] section is not used by scenario {scenario}")
 
@@ -264,9 +263,16 @@ def load_config(path: str) -> dict:
             raise ConfigurationError(
                 "specify exactly one of u_tilde or the pair (u, n_particles)"
             )
-        phys["_potential_parsed"] = _parse_potential_spec(phys["potential"])
-        if phys["_potential_parsed"][0] == "quench" and scenario != "dynamics":
+        pot_spec = phys["_potential_parsed"] = _parse_potential_spec(phys["potential"])
+        if pot_spec[0] == "quench" and scenario != "dynamics":
             raise ConfigurationError("quench potentials are only for dynamics runs")
+        try:  # a finite frequency can still overflow the potential on the grid
+            if pot_spec[0] == "harmonic":
+                harmonic_potential(grid, pot_spec[1])
+            elif pot_spec[0] == "quench":
+                TrapQuench(grid, *pot_spec[1:])
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"potential {phys['potential']!r}: {exc}") from None
     else:
         for key in ("u", "n_particles", "volume"):
             if key not in phys:

@@ -148,10 +148,21 @@ def zero_potential(grid: Grid1D) -> ComplexField:
     return ComplexField(np.zeros(grid.n_points, dtype=np.complex128), grid)
 
 
+def _harmonic_values(grid: Grid1D, omega: float) -> np.ndarray:
+    """omega^2 (x - L/2)^2 / 2 on the grid; ConfigurationError unless finite there."""
+    x = grid.points - grid.center
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = 0.5 * np.float64(omega) ** 2 * x**2
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError(
+            f"harmonic potential with omega = {omega!r} is not finite on the grid"
+        )
+    return values
+
+
 def harmonic_potential(grid: Grid1D, omega: float = 1.0) -> ComplexField:
     """V(x) = omega^2 (x - L/2)^2 / 2, centered in the domain."""
-    x = grid.points - grid.center
-    return ComplexField(0.5 * omega**2 * x**2 + 0j, grid)
+    return ComplexField(_harmonic_values(grid, omega) + 0j, grid)
 
 
 def apply_gp_operator(

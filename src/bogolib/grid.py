@@ -9,7 +9,8 @@ Two boundary types are supported (units: hbar = m = 1):
   wall boundary condition.
 
 The library's one spectral transform S lives here: the boundary picks
-the basis and the dtype the method, and a real array stays real.
+the basis, and the size and dtype the method: on a box, a cached dense
+matrix up to n = 256 and an FFT above.  A real array stays real.
 
 All quadrature is the uniform rectangle rule with weight dx, which is
 exact for the periodic spectral representation and consistent with the
@@ -18,6 +19,7 @@ sine basis (integrands vanish at the walls).
 
 from __future__ import annotations
 
+import functools
 import numbers
 from dataclasses import dataclass, field
 
@@ -139,15 +141,52 @@ def norm(f: ComplexField) -> float:
     return float(np.sqrt(np.vdot(f.values, f.values).real * f.grid.dx))
 
 
+# Largest n whose sine transform is one product with the cached matrix S.
+_DENSE_SINE_MAX_N = 256
+
+
+@functools.lru_cache(maxsize=4)
+def _sine_matrix(n: int) -> np.ndarray:
+    """Read-only orthonormal DST-I matrix, symmetric and its own inverse.
+
+    S_jk = sqrt(2/(n+1)) sin(pi m/(n+1)) with m = jk mod 2(n+1): reducing the
+    index first keeps the argument of sin small, so S matches the FFT to 1e-15.
+    Built in place in one array (jk is exact in float64), so the build's
+    transient memory is S itself.
+    """
+    j = np.arange(1.0, n + 1)
+    s = np.outer(j, j)
+    np.fmod(s, 2 * (n + 1), out=s)
+    s *= np.pi
+    s /= n + 1
+    np.sin(s, out=s)
+    s *= np.sqrt(2.0 / (n + 1))
+    s.flags.writeable = False
+    return s
+
+
 def _sine_transform(values: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis, its own inverse; real stays real.
 
-    A complex array takes one complex FFT of the odd extension [0, v, 0, -v[::-1]],
-    a third of the time of two real calls at n=256 (514 = 2*257 needs a radix-257 pass).
+    Up to n = 256 this is one BLAS product with the cached matrix S, the
+    columns of a complex block read as float64 pairs.  Small transforms are
+    bound by call overhead rather than flops, and for the usual n = 2^k the
+    FFT length 2(n+1) = 2(2^k + 1) has large prime factors (2 * 257 at
+    n = 256), so S is 2-3x faster at n = 128-256; the FFT wins from n = 384
+    on (crossover table in CHANGES.md).  Larger arrays take the FFT: a real
+    array ``scipy.fft.dst``, a complex one one complex FFT of the odd
+    extension [0, v, 0, -v[::-1]].
     """
+    n = values.shape[-1]
+    if n <= _DENSE_SINE_MAX_N:
+        c = np.ascontiguousarray(values.reshape(-1, n).T)
+        if c.dtype == np.complex128:
+            out = (_sine_matrix(n) @ c.view(np.float64)).view(np.complex128)
+        else:
+            out = _sine_matrix(n) @ c
+        return out.T.reshape(values.shape)
     if np.isrealobj(values):
         return scipy.fft.dst(values, type=1, norm="ortho")
-    n = values.shape[-1]
     ext = np.zeros(values.shape[:-1] + (2 * (n + 1),), dtype=np.complex128)
     ext[..., 1 : n + 1] = values
     ext[..., n + 2 :] = -values[..., ::-1]

@@ -47,7 +47,7 @@ import scipy.linalg
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, IntegratorError
-from .gpe import CondensateState, _quadrature_mu_h1, apply_gp_operator
+from .gpe import CondensateState, _harmonic_values, _quadrature_mu_h1, apply_gp_operator
 from .grid import (ComplexField, Grid1D, _check_same_grid, from_spectral, inner_product, norm,
                    to_spectral)
 
@@ -81,9 +81,8 @@ class TrapQuench:
     def __post_init__(self):
         if not np.all(np.isfinite([self.omega_from, self.omega_to, self.t_switch])):
             raise ConfigurationError("quench frequencies and t_switch must be finite")
-        x = self.grid.points - self.grid.center
-        object.__setattr__(self, "_v_from", 0.5 * self.omega_from**2 * x**2)
-        object.__setattr__(self, "_v_to", 0.5 * self.omega_to**2 * x**2)
+        object.__setattr__(self, "_v_from", _harmonic_values(self.grid, self.omega_from))
+        object.__setattr__(self, "_v_to", _harmonic_values(self.grid, self.omega_to))
 
     def __call__(self, t: float) -> np.ndarray:
         return self._v_to if t >= self.t_switch else self._v_from
@@ -98,6 +97,15 @@ class TrapRamp:
     omega_to: float
     t0: float
     t1: float
+
+    def __post_init__(self):
+        if not np.all(np.isfinite([self.omega_from, self.omega_to, self.t0, self.t1])):
+            raise ConfigurationError("ramp frequencies, t0 and t1 must be finite")
+        if not self.t1 > self.t0:
+            raise ConfigurationError(f"ramp needs t1 > t0, got t0 = {self.t0}, t1 = {self.t1}")
+        # Every frequency of the ramp lies between the two ends.
+        _harmonic_values(self.grid, self.omega_from)
+        _harmonic_values(self.grid, self.omega_to)
 
     def __call__(self, t: float) -> np.ndarray:
         if t <= self.t0:

@@ -143,6 +143,8 @@ class TestValidate:
             "quench(nan,1.2,0.0)",
             "quench(1.0,inf,0.0)",
             "quench(1.0,1.2,inf)",
+            "harmonic(1e200)",
+            "quench(1.0,1e200,0.0)",
         ],
     )
     def test_non_finite_potential_names_spec(self, tmp_path, capsys, spec):

@@ -438,6 +438,13 @@ class TestFunctionals:
         assert chemical_potential(uniform_state) == pytest.approx(2.0 / L, abs=1e-14)
         assert energy_functional_h1(uniform_state) == pytest.approx(1.0 / L, abs=1e-14)
 
+    @pytest.mark.parametrize("omega", [1e200, float("nan"), float("inf")])
+    def test_harmonic_potential_rejects_non_finite_values(self, omega):
+        # 1e200 is finite, but omega^2 overflows: the potential itself must be checked.
+        grid = build_grid(64, 8.0, "box")
+        with pytest.raises(ConfigurationError, match="not finite on the grid"):
+            harmonic_potential(grid, omega)
+
     def test_harmonic_zero_point(self, trap_states):
         state = trap_states[0.0]
         assert chemical_potential(state) == pytest.approx(0.5, abs=1e-10)

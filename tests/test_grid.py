@@ -4,11 +4,13 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bogolib import grid as grid_module
 from bogolib.errors import ConfigurationError, DimensionMismatchError
 from bogolib.gpe import gpe_residual, harmonic_potential, solve_stationary
 from bogolib.grid import (
     ComplexField,
     _kinetic_values,
+    _sine_matrix,
     _sine_transform,
     build_grid,
     from_spectral,
@@ -146,19 +148,21 @@ def dst_oracle(values):
 
 
 class TestSineTransform:
-    @pytest.mark.parametrize("n", [64, 128, 255, 256, 257, 1024, 2048])
+    # n <= 256 takes the cached dense matrix, n > 256 the FFT.
+    @pytest.mark.parametrize("n", [8, 9, 64, 128, 255, 256, 257, 320, 1024, 2048])
     @pytest.mark.parametrize("shape", ["1d", "batched"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_matches_real_dst(self, n, shape, kind):
         rng = np.random.default_rng(n)
-        size = (n,) if shape == "1d" else (5, n)
+        size = (n,) if shape == "1d" else (32, n)
         values = rng.standard_normal(size)
         if kind == "complex":
             values = values + 1j * rng.standard_normal(size)
         out = _sine_transform(values)
         expected = dst_oracle(values)
         assert out.shape == values.shape
-        assert np.max(np.abs(out - expected)) < 1e-13 * np.max(np.abs(expected))
+        assert out.dtype == (np.float64 if kind == "real" else np.complex128)
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n", [64, 256, 257, 1024])
     def test_involution(self, n):
@@ -184,6 +188,27 @@ class TestSineTransform:
             if boundary == "box" and np.isrealobj(values):
                 # The stationary solver's residual floor relies on this.
                 assert not np.any(np.imag(out))
+
+    def test_size_picks_the_method(self, monkeypatch):
+        def no_fft(*args, **kwargs):
+            raise AssertionError("FFT called")
+
+        monkeypatch.setattr(grid_module.scipy.fft, "fft", no_fft)
+        monkeypatch.setattr(grid_module.scipy.fft, "dst", no_fft)
+        _sine_transform(np.ones(256))
+        _sine_transform(np.ones((3, 256)) + 0j)
+        for values in (np.ones(257), np.ones(257) + 0j):
+            with pytest.raises(AssertionError, match="FFT called"):
+                _sine_transform(values)
+
+    @pytest.mark.parametrize("n", [8, 9, 128, 255, 256])
+    def test_cached_matrix_is_a_read_only_symmetric_involution(self, n):
+        s = _sine_matrix(n)
+        assert s is _sine_matrix(n)
+        assert np.array_equal(s, s.T)
+        assert np.max(np.abs(s @ s - np.eye(n))) <= 1e-14
+        with pytest.raises(ValueError):
+            s[0, 0] = 0.0
 
 
 SPECTRAL_GRIDS = [(n, "box") for n in (128, 255, 256, 1024)] + [

@@ -205,6 +205,15 @@ class TestPropagate:
         assert np.max(np.abs(traj.norm_t - 1.0)) < 1e-10
         assert np.max(np.abs(traj.h1_t - traj.h1_t[0])) < 1e-8
 
+    def test_norm_holds_over_a_long_dense_transform_quench(self, wide_trap_grid):
+        # n = 256 steps through the dense sine transform; 5000 steps must not
+        # accumulate its round-off (criterion 09 allows 1e-10).
+        state = solve_stationary(wide_trap_grid, harmonic_potential(wide_trap_grid), u_tilde=3.0)
+        traj = propagate(state, t_final=1.0, dt=2e-4, stride=500,
+                         potential_of_t=TrapQuench(wide_trap_grid, 1.0, 1.3))
+        assert traj.n_steps == 5000
+        assert np.max(np.abs(traj.norm_t - 1.0)) <= 1e-11
+
     def test_second_order_convergence(self, trap_grid):
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=2.0)
         quench = TrapQuench(trap_grid, 1.0, 1.2, 0.0)
@@ -248,7 +257,11 @@ class TestPropagate:
         # A NaN norm must fail the drift guard, not pass it as "not > 1e-6".
         grid = build_grid(64, 8.0, "box")
         state = solve_stationary(grid, harmonic_potential(grid), u_tilde=1.0)
-        nan_trap = TrapRamp(grid, 1.0, float("nan"), t0=0.0, t1=0.005)
+        v0 = harmonic_potential(grid).values.real
+
+        def nan_trap(t):
+            return v0 if t <= 0.0 else np.full_like(v0, np.nan)
+
         with pytest.raises(IntegratorError, match="norm drifted to nan"):
             propagate(state, t_final=0.01, dt=1e-3, potential_of_t=nan_trap, stride=5)
 
@@ -623,11 +636,34 @@ class TestTimeDependentPotentials:
         assert np.array_equal(quench(0.5), 2.0 * x**2)
 
     @pytest.mark.parametrize(
-        "params", [(float("nan"), 1.2, 0.0), (1.0, float("inf"), 0.0), (1.0, 1.2, float("nan"))]
+        "params",
+        [
+            (float("nan"), 1.2, 0.0),
+            (1.0, float("inf"), 0.0),
+            (1.0, 1.2, float("nan")),
+            (1.0, 1e200, 0.0),  # finite, but the potential overflows
+        ],
     )
     def test_quench_rejects_non_finite_parameters(self, trap_grid, params):
         with pytest.raises(ConfigurationError, match="finite"):
             TrapQuench(trap_grid, *params)
+
+    @pytest.mark.parametrize(
+        "params, match",
+        [
+            ((float("nan"), 1.2, 0.0, 1.0), "finite"),
+            ((1.0, float("nan"), 0.0, 0.005), "finite"),
+            ((1.0, 1.2, float("-inf"), 1.0), "finite"),
+            ((1.0, 1.2, 0.0, float("inf")), "finite"),
+            ((1.0, 1.2, 1.0, 0.5), "t1 > t0"),
+            ((1.0, 1.2, 1.0, 1.0), "t1 > t0"),
+            ((1.0, 1e200, 0.0, 1.0), "not finite on the grid"),
+        ],
+        ids=["nan-from", "nan-to", "inf-t0", "inf-t1", "t1-before-t0", "t1-at-t0", "overflow"],
+    )
+    def test_ramp_rejects_bad_parameters(self, trap_grid, params, match):
+        with pytest.raises(ConfigurationError, match=match):
+            TrapRamp(trap_grid, *params)
 
     def test_ramp_is_smooth_and_monotone(self, trap_grid):
         ramp = TrapRamp(trap_grid, 1.0, 2.0, t0=0.0, t1=1.0)
