@@ -145,6 +145,12 @@ def _single_particle_modes(
     return modes
 
 
+def _check_mode_count(grid: Grid1D, K) -> None:
+    """ConfigurationError unless K is an integer in [1, n_points - 2]."""
+    if not isinstance(K, numbers.Integral) or not 1 <= K < grid.n_points - 1:
+        raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
+
+
 def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     """Lowest-K single-particle modes projected orthogonal to the condensate.
 
@@ -157,8 +163,7 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     vectors bit for bit.
     """
     grid = state.grid
-    if not isinstance(K, numbers.Integral) or not 1 <= K < grid.n_points - 1:
-        raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
+    _check_mode_count(grid, K)
     candidates = _single_particle_modes(
         grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
     )
@@ -195,8 +200,7 @@ def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:
     grid = state.grid
     if grid.boundary != "periodic":
         raise ConfigurationError("plane-wave basis requires a periodic grid")
-    if not isinstance(K, numbers.Integral) or not 1 <= K < grid.n_points - 1:
-        raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
+    _check_mode_count(grid, K)
     if K % 2:
         raise ConfigurationError("K must be even to keep +-k pairs together")
     ks = np.outer(np.arange(1, K // 2 + 1), [1, -1]).ravel() * (2.0 * np.pi / grid.length)
@@ -404,8 +408,8 @@ def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
         raise DimensionMismatchError(
             f"expected {qh.n_modes} occupations, got shape {occ.shape}"
         )
-    if np.any(occ < 0):
-        raise ConfigurationError("occupations must be non-negative")
+    if not np.all((occ >= 0) & (occ < np.inf)):  # also catches NaN
+        raise ConfigurationError("occupations must be finite and non-negative")
     try:
         energies = _colpa(qh.m_matrix, qh.g_matrix, vectors=False)
     except scipy.linalg.LinAlgError as exc:

@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bdg import assemble, build_phonon_basis, check_stability, diagonalize
+from .bdg import _check_mode_count, assemble, build_phonon_basis, check_stability, diagonalize
 from .errors import BogolibError, ConfigurationError, InstabilityError
 from .gpe import (
     default_tol,
@@ -51,6 +51,7 @@ from .homogeneous import (
 from .number_shift import StationaryProblem, build_report
 from .tdgpe import (
     TrapQuench,
+    _step_count,
     center_of_mass,
     hr_diagnostic,
     mu_from_rate,
@@ -67,6 +68,7 @@ SCENARIOS = (
 )
 
 GRID_SCENARIOS = {"stationary", "spectrum", "dynamics", "number-shift"}
+BASIS_SCENARIOS = {"spectrum", "dynamics", "number-shift"}
 
 OUTPUT_DIR_ENV = "BOGOLIB_OUTPUT_DIR"
 
@@ -273,17 +275,22 @@ def load_config(path: str) -> dict:
                 TrapQuench(grid, *pot_spec[1:])
         except ConfigurationError as exc:
             raise ConfigurationError(f"potential {phys['potential']!r}: {exc}") from None
+        # The run's own checks, made here so that a bad config fails before any solve.
+        if scenario in BASIS_SCENARIOS:
+            _check_mode_count(grid, _default_k_modes(config, grid))
+        if scenario == "dynamics":
+            _step_count(config["numerics"]["t_final"], config["numerics"]["dt"])
     else:
         for key in ("u", "n_particles", "volume"):
             if key not in phys:
                 raise ConfigurationError(f"scenario {scenario} needs [physics] {key}")
+        if abs(phys["n_particles"] - round(phys["n_particles"])) > 0:
+            raise ConfigurationError(f"{scenario} n_particles must be an integer")
         if scenario == "fock-oracle":
             if "k_mode" not in phys:
                 raise ConfigurationError("fock-oracle needs [physics] k_mode")
             if "n_max_excited" not in config["numerics"]:
                 raise ConfigurationError("fock-oracle needs [numerics] n_max_excited")
-            if abs(phys["n_particles"] - round(phys["n_particles"])) > 0:
-                raise ConfigurationError("fock-oracle n_particles must be an integer")
 
     return config
 

@@ -36,18 +36,16 @@ in three stages.
    whose sign changes is an excited state, and the solve raises a
    ``ConvergenceError`` that names it.
 
-The chemical potential is always reported through the energy functional
+H psi = (T + V + u_tilde |psi|^2) psi, the chemical potential
 
-    mu = integral( xi* (-1/2 d^2/dx^2) xi + V |xi|^2 + u_tilde |xi|^4 ) dx,
+    mu = integral( psi* T psi + V |psi|^2 + u_tilde |psi|^4 ) dx
 
-and the mean-field energy per particle is
-
-    h1 = kinetic + potential + (u_tilde/2) integral |xi|^4 dx,
-
-so mu - h1 = (u_tilde/2) integral |xi|^4 dx holds identically.
-
-Every function of T in a solve (descent, CG, preconditioners, mu, h1 and
-the residual) is one ``grid.spectral_map`` call on a real array.
+and the mean-field energy per particle h1, the same with the quartic
+term weighted 1/2, are defined once, by ``_gp_operator``, from one
+application of T; every solver stage, functional and ``tdgpe`` snapshot
+evaluates them there.  The three sums are kept apart, so mu - h1 =
+(u_tilde/2) integral |psi|^4 dx holds identically.  Every function of T in
+a solve is one ``grid.spectral_map`` call on a real array.
 """
 
 from __future__ import annotations
@@ -165,15 +163,6 @@ def harmonic_potential(grid: Grid1D, omega: float = 1.0) -> ComplexField:
     return ComplexField(_harmonic_values(grid, omega) + 0j, grid)
 
 
-def apply_gp_operator(
-    grid: Grid1D, potential_values: np.ndarray, u_tilde: float, values: np.ndarray
-) -> np.ndarray:
-    """(-1/2 d^2/dx^2 + V + u_tilde |psi|^2) psi on raw arrays."""
-    return _kinetic_values(grid, values) + (
-        potential_values + u_tilde * np.abs(values) ** 2
-    ) * values
-
-
 def _check_potential(grid: Grid1D, potential: ComplexField) -> np.ndarray:
     _check_same_grid(potential.grid, grid)
     if not np.all(np.isfinite(potential.values)):
@@ -183,19 +172,20 @@ def _check_potential(grid: Grid1D, potential: ComplexField) -> np.ndarray:
     return potential.values.real
 
 
-def _quadrature_mu_h1(grid, v_real, u_tilde, xi_values):
-    kin = np.vdot(xi_values, _kinetic_values(grid, xi_values)).real * grid.dx
-    dens = np.abs(xi_values) ** 2
+def _gp_operator(grid, v_real, u_tilde, psi, t_psi=None):
+    """(H psi, mu, h1) of ``psi`` (module docstring), from one application of T.
+
+    ``t_psi``, when given, stands for T psi; the descent passes the T psi it
+    carries along its great circles, so it applies no transform here.
+    """
+    if t_psi is None:
+        t_psi = _kinetic_values(grid, psi)
+    dens = np.abs(psi) ** 2
+    kin = np.vdot(psi, t_psi).real * grid.dx
     pot = float(np.sum(v_real * dens) * grid.dx)
     quart = float(np.sum(dens**2) * grid.dx)
-    mu = kin + pot + u_tilde * quart
-    h1 = kin + pot + 0.5 * u_tilde * quart
-    return mu, h1, quart
-
-
-def _residual_norm(grid, v_real, u_tilde, xi_values, mu):
-    r = apply_gp_operator(grid, v_real, u_tilde, xi_values) - mu * xi_values
-    return float(np.sqrt(np.vdot(r, r).real * grid.dx))
+    h_psi = t_psi + (v_real + u_tilde * dens) * psi
+    return h_psi, kin + pot + u_tilde * quart, kin + pot + 0.5 * u_tilde * quart
 
 
 def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
@@ -265,7 +255,7 @@ def _starting_orbital(grid: Grid1D, v_real: np.ndarray, u_tilde: float) -> np.nd
         mu_tf = levels[np.argmax(np.append(levels[:-1] <= v[1:], True))]
         starts.append(np.sqrt(np.maximum(mu_tf - v_real, 0.0) / u_tilde))
     starts = [psi / np.sqrt(np.sum(psi**2) * grid.dx) for psi in starts]
-    return min(starts, key=lambda psi: _quadrature_mu_h1(grid, v_real, u_tilde, psi)[1])
+    return min(starts, key=lambda psi: _gp_operator(grid, v_real, u_tilde, psi)[2])
 
 
 def _descend(grid, v_real, u_tilde, psi, stop):
@@ -279,17 +269,16 @@ def _descend(grid, v_real, u_tilde, psi, stop):
     dx, v_min = grid.dx, v_real.min()
     t_psi, energies, direction = _kinetic_values(grid, psi), [], None
     while True:
-        interaction = u_tilde * psi**2
-        h_psi = t_psi + (v_real + interaction) * psi
-        mu = dx * (psi @ h_psi)
+        h_psi, mu, h1 = _gp_operator(grid, v_real, u_tilde, psi, t_psi)
         r = h_psi - mu * psi
-        quadratic = dx * (psi @ t_psi + v_real @ psi**2)
-        energies.append(quadratic + 0.5 * dx * (interaction @ psi**2))
+        quadratic = 2.0 * h1 - mu  # kinetic + potential
+        energies.append(h1)
         if dx * (r @ r) <= stop**2 or len(energies) > _DESCENT_MAX_STEPS:
             return psi, energies
 
         s = max(mu - v_min, 1.0)
         half = (grid.kinetic_eigs + s) ** -0.5
+        interaction = u_tilde * psi**2
         scaled = s / (v_real - v_min + interaction + s) * spectral_map(grid, half, r)
         pr = spectral_map(grid, half, scaled)
         if direction is not None:  # Polak-Ribiere, restarted when not downhill
@@ -363,24 +352,29 @@ def solve_stationary(
         raise ConfigurationError("tol must be positive")
     v_real = _check_potential(grid, potential)
 
+    def evaluate(psi):  # mu, h1, residual vector and its norm
+        h_psi, mu, h1 = _gp_operator(grid, v_real, u_tilde, psi)
+        r = h_psi - mu * psi
+        return mu, h1, r, float(np.sqrt(np.vdot(r, r).real * grid.dx))
+
     psi, history = _descend(
         grid, v_real, u_tilde, _starting_orbital(grid, v_real, u_tilde), max(_HANDOVER, tol)
     )
     descent_steps = len(history) - 1
-    mu = _quadrature_mu_h1(grid, v_real, u_tilde, psi)[0]
-    residual = _residual_norm(grid, v_real, u_tilde, psi, mu)
+    mu, h1, r_vec, residual = evaluate(psi)
     residuals = [residual]
     cg_iterations = []
 
     # Projected Newton polish on the real-valued problem.  A step is kept
     # only if it lowers the residual; Newton stops at the first step that
-    # does not halve it, so ``residual`` always belongs to ``psi``.
+    # does not halve it, so ``residual`` always belongs to ``psi``.  Each
+    # trial is evaluated once, and a kept trial's residual vector is the
+    # next step's right-hand side.
     reason, stop, cause = "tol reached in descent", "", None
     if residual > tol:
         reason = "Newton step cap"
         stop = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor"
         for _ in range(_NEWTON_MAX_STEPS):
-            r_vec = apply_gp_operator(grid, v_real, u_tilde, psi) - mu * psi
             try:
                 step, _, cg_iters = _solve_linearized(grid, v_real, u_tilde, psi, mu, -r_vec)
             except ConvergenceError as exc:
@@ -390,15 +384,14 @@ def solve_stationary(
             cg_iterations.append(cg_iters)
             trial = psi + step
             trial /= np.sqrt(np.sum(trial**2) * grid.dx)
-            trial_mu, _, _ = _quadrature_mu_h1(grid, v_real, u_tilde, trial)
-            new_residual = _residual_norm(grid, v_real, u_tilde, trial, trial_mu)
+            trial_mu, trial_h1, trial_r, new_residual = evaluate(trial)
             residuals.append(new_residual)
             if not new_residual <= 10 * residual:  # also catches NaN
                 reason = "diverging step"
                 stop = f"took a diverging step (residual {new_residual:.3e})"
                 break
             if new_residual < residual:
-                psi, mu = trial, trial_mu
+                psi, mu, h1, r_vec = trial, trial_mu, trial_h1, trial_r
             if new_residual > 0.5 * residual:
                 residual = min(residual, new_residual)
                 reason = "round-off floor"
@@ -413,10 +406,10 @@ def solve_stationary(
             residual=residual,
         ) from cause
 
-    # Ground-state gauge: real and non-negative overall sign.
+    # Ground-state gauge: real and non-negative overall sign.  The flip is
+    # exact in floating point, so mu and h1 carry over.
     if psi.sum() < 0:
         psi = -psi
-    mu, h1, _ = _quadrature_mu_h1(grid, v_real, u_tilde, psi)
     history.append(h1)
     big = psi[np.abs(psi) > _NODE_FLOOR * np.max(np.abs(psi))]
     sign_changes = int(np.count_nonzero(np.signbit(big[1:]) != np.signbit(big[:-1])))
@@ -445,18 +438,18 @@ def solve_stationary(
     )
 
 
+def _state_operator(state: CondensateState, values: np.ndarray) -> tuple:
+    return _gp_operator(state.grid, state.potential.values.real, state.u_tilde, values)
+
+
 def chemical_potential(state: CondensateState) -> float:
     """Energy-functional chemical potential evaluated by quadrature."""
-    v_real = state.potential.values.real
-    mu, _, _ = _quadrature_mu_h1(state.grid, v_real, state.u_tilde, state.xi.values)
-    return mu
+    return _state_operator(state, state.xi.values)[1]
 
 
 def energy_functional_h1(state: CondensateState) -> float:
     """Mean-field energy per particle (interaction weighted 1/2)."""
-    v_real = state.potential.values.real
-    _, h1, _ = _quadrature_mu_h1(state.grid, v_real, state.u_tilde, state.xi.values)
-    return h1
+    return _state_operator(state, state.xi.values)[2]
 
 
 def gpe_residual(state: CondensateState) -> float:
@@ -466,11 +459,11 @@ def gpe_residual(state: CondensateState) -> float:
     transform of its zero imaginary part would add round-off of the size
     of the grid's residual floor.
     """
-    v_real = state.potential.values.real
     values = state.xi.values
     if not np.any(values.imag):
         values = values.real
-    return _residual_norm(state.grid, v_real, state.u_tilde, values, state.mu)
+    r = _state_operator(state, values)[0] - state.mu * values
+    return float(np.sqrt(np.vdot(r, r).real * state.grid.dx))
 
 
 def h2_coefficients(state: CondensateState, basis: "PhononBasis") -> np.ndarray:
@@ -481,7 +474,4 @@ def h2_coefficients(state: CondensateState, basis: "PhononBasis") -> np.ndarray:
     the basis is orthogonal to xi.
     """
     _check_same_grid(basis.grid, state.grid)
-    gp = apply_gp_operator(
-        state.grid, state.potential.values.real, state.u_tilde, state.xi.values
-    )
-    return basis.mode_matrix.conj() @ gp * state.grid.dx
+    return basis.mode_matrix.conj() @ _state_operator(state, state.xi.values)[0] * state.grid.dx

@@ -24,6 +24,8 @@ MAX_FOCK_STATES = 200_000
 
 def bogoliubov_dispersion(k: float, u_tilde: float, length: float) -> float:
     """Quasiparticle energy sqrt(e_k (e_k + 2 u_tilde / L)), e_k = k^2/2."""
+    if not (np.all(np.isfinite([k, u_tilde, length])) and length > 0):
+        raise ConfigurationError("k, u_tilde and length must be finite, and length positive")
     if k == 0:
         raise ConfigurationError("k = 0 is the condensate mode; dispersion undefined")
     if u_tilde < 0:
@@ -54,6 +56,8 @@ def hydro_coefficients(
     k: float, u: float, n_particles: int, volume: float
 ) -> HydroCoefficients:
     """Mode coefficients sqrt(v/2kN) and sqrt(Nk/2v) with v = sqrt(uN/V)."""
+    if not np.all(np.isfinite([k, u, n_particles, volume])):
+        raise ConfigurationError("k, u, n_particles and volume must be finite")
     if k <= 0:
         raise ConfigurationError("k must be positive")
     if u <= 0:
@@ -129,6 +133,15 @@ def _sector_states(n_particles: int, cap: int, s: int) -> np.ndarray:
 def _basis_size(cap: int) -> int:
     """Number of states with a given total and n+ + n- <= ``cap``."""
     return (cap + 1) * (cap + 2) // 2
+
+
+def _fock_counts(n_particles, k_mode, u, volume, n_max_excited) -> tuple[int, int]:
+    """(N, n_max_excited) as ints; ConfigurationError for inputs no Fock basis is built from."""
+    if not (np.all(np.isfinite([k_mode, u, volume])) and volume > 0):
+        raise ConfigurationError("k_mode, u and volume must be finite, and volume positive")
+    if not all(float(n).is_integer() and n >= 1 for n in (n_particles, n_max_excited)):
+        raise ConfigurationError("n_particles and n_max_excited must be whole numbers >= 1")
+    return int(n_particles), int(n_max_excited)
 
 
 def _require_states(n_states: int) -> None:
@@ -220,11 +233,11 @@ def exact_fock_spectrum(
     n_gaps + 1 eigenvalues are computed: the ground energy, the sector
     minima and the n_gaps lowest excitations need no more.  The chains
     are read off the term-by-term entries, and any entry that leaves them
-    raises.
+    raises.  N and n_max_excited must be whole numbers, k_mode and u
+    finite, and the volume finite and positive.
     """
-    if n_particles < 1:
-        raise ConfigurationError("n_particles must be at least 1")
-    if n_max_excited < 1 or n_max_excited > n_particles:
+    n_particles, n_max_excited = _fock_counts(n_particles, k_mode, u, volume, n_max_excited)
+    if n_max_excited > n_particles:
         raise ConfigurationError("need 1 <= n_max_excited <= n_particles")
     if k_mode == 0:
         raise ConfigurationError("k_mode must be nonzero")
@@ -279,10 +292,10 @@ def number_conservation_offblock(
     Applies the term-by-term Hamiltonian to the union of the N and N-1
     particle bases and returns the largest magnitude among the entries
     whose row and column totals differ (identically zero when the
-    Hamiltonian conserves the total).
+    Hamiltonian conserves the total).  N and n_max_excited must be whole
+    numbers >= 1, k_mode and u finite, and the volume finite and positive.
     """
-    if n_particles < 1:
-        raise ConfigurationError("n_particles must be at least 1")
+    n_particles, n_max_excited = _fock_counts(n_particles, k_mode, u, volume, n_max_excited)
     cap = min(n_max_excited, n_particles - 1)
     _require_states(2 * _basis_size(cap))
     union = np.vstack([_fock_basis(n_particles, cap)[0], _fock_basis(n_particles - 1, cap)[0]])

@@ -60,32 +60,20 @@ def _align_phase(reference: ComplexField, other: ComplexField) -> ComplexField:
     return ComplexField(other.values / phase, other.grid)
 
 
-def dxi_dN(
-    problem: StationaryProblem,
-    n_particles: float,
-    delta_N: float,
-    scheme: str = "central",
-) -> ComplexField:
-    """Finite-difference derivative of the orbital with respect to N.
+def dxi_dN(problem: StationaryProblem, n_particles: float, delta_N: float) -> ComplexField:
+    """Central-difference derivative of the orbital with respect to N.
 
-    Neighboring solves are parallel-transport aligned (phase fixed so the
-    overlap with the N-point orbital is real positive) before
-    differencing; ``scheme`` is ``"central"`` (default) or ``"forward"``.
-    Three full stationary solves: the independent check of
+    The solves at N +- delta_N are parallel-transport aligned (phase fixed
+    so the overlap with the N-point orbital is real positive) before
+    differencing.  Three full stationary solves: the independent check of
     ``exact_dxi_dN``, whose result it approaches as O(delta_N^2).
     """
     if delta_N <= 0:
         raise ConfigurationError("delta_N must be positive")
     ref = problem.solve(n_particles)
     plus = _align_phase(ref.xi, problem.solve(n_particles + delta_N).xi)
-    if scheme == "central":
-        minus = _align_phase(ref.xi, problem.solve(n_particles - delta_N).xi)
-        values = (plus.values - minus.values) / (2.0 * delta_N)
-    elif scheme == "forward":
-        values = (plus.values - ref.xi.values) / delta_N
-    else:
-        raise ConfigurationError(f"unknown scheme {scheme!r}")
-    return ComplexField(values, problem.grid)
+    minus = _align_phase(ref.xi, problem.solve(n_particles - delta_N).xi)
+    return ComplexField((plus.values - minus.values) / (2.0 * delta_N), problem.grid)
 
 
 def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
@@ -126,11 +114,12 @@ class PhaseFixResult:
     truncation_residual: float
 
 
+# Largest norm of dxi outside span(xi, xi_k) that phase_fix_and_r accepts.
+_TRUNCATION_TOL = 1e-6
+
+
 def phase_fix_and_r(
-    state: CondensateState,
-    basis: PhononBasis,
-    dxi: ComplexField,
-    truncation_tol: float = 1e-6,
+    state: CondensateState, basis: PhononBasis, dxi: ComplexField
 ) -> PhaseFixResult:
     """Gauge coefficient r0 and mode coefficients r_k of the N-derivative.
 
@@ -139,7 +128,8 @@ def phase_fix_and_r(
     real gauge parameter is r0 = -N * Im <xi, dxi>.  The returned ``r0``
     is evaluated after removing the condensate component (the phase
     choice along the family), hence vanishes identically; ``r0_raw`` is
-    the pre-fix value.
+    the pre-fix value.  A part of dxi outside span(xi, xi_k) larger than
+    ``_TRUNCATION_TOL`` raises ``TruncationError``.
     """
     n = state.n_particles
     c0 = inner_product(state.xi, dxi)
@@ -153,7 +143,7 @@ def phase_fix_and_r(
 
     residual = fixed_values - ck @ basis.mode_matrix
     residual_norm = float(np.sqrt(np.vdot(residual, residual).real * basis.grid.dx))
-    if residual_norm > truncation_tol:
+    if residual_norm > _TRUNCATION_TOL:
         raise TruncationError(
             f"dxi has component {residual_norm:.3e} outside span(xi, xi_k); "
             "increase the basis size K"

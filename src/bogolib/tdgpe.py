@@ -47,7 +47,7 @@ import scipy.linalg
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, IntegratorError
-from .gpe import CondensateState, _harmonic_values, _quadrature_mu_h1, apply_gp_operator
+from .gpe import CondensateState, _gp_operator, _harmonic_values
 from .grid import (ComplexField, Grid1D, _check_same_grid, from_spectral, inner_product, norm,
                    to_spectral)
 
@@ -115,8 +115,7 @@ class TrapRamp:
         else:
             s = 0.5 * (1.0 - np.cos(np.pi * (t - self.t0) / (self.t1 - self.t0)))
             omega = self.omega_from + s * (self.omega_to - self.omega_from)
-        x = self.grid.points - self.grid.center
-        return 0.5 * omega**2 * x**2
+        return _harmonic_values(self.grid, omega)
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +213,21 @@ def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -
     return phase
 
 
-def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution, basis):
-    """The stepping loop behind ``propagate`` and ``propagate_modes``."""
+def _step_count(t_final: float, dt: float) -> int:
+    """t_final / dt; ConfigurationError unless a whole number of at least 5 steps."""
     if not 0 < dt < np.inf:
         raise ConfigurationError("dt must be positive and finite")
-    if evolution not in EVOLUTIONS:
-        raise ConfigurationError(f"evolution must be one of {EVOLUTIONS}")
     n_steps = int(round(t_final / dt)) if np.isfinite(t_final / dt) else 0
     if n_steps < 5 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigurationError("t_final must be a finite multiple of dt (and >= 5 steps)")
+    return n_steps
+
+
+def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution, basis):
+    """The stepping loop behind ``propagate`` and ``propagate_modes``."""
+    n_steps = _step_count(t_final, dt)
+    if evolution not in EVOLUTIONS:
+        raise ConfigurationError(f"evolution must be one of {EVOLUTIONS}")
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
     dx = grid.dx
@@ -265,7 +270,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         nrm = norm(xi)
         if not abs(nrm - 1.0) <= 1e-6:  # also catches NaN
             raise IntegratorError(f"norm drifted to {nrm} at t = {t}; reduce dt")
-        mu, h1, _ = _quadrature_mu_h1(grid, pot(t), u_tilde, xi.values)
+        _, mu, h1 = _gp_operator(grid, pot(t), u_tilde, xi.values)
         xi_t.append(xi)
         mu_t.append(mu)
         h1_t.append(h1)
@@ -365,23 +370,17 @@ def mu_from_rate(xi: ComplexField, xi_dot: ComplexField) -> float:
     return float((1j * inner_product(xi, xi_dot)).real)
 
 
-def h3_of_t(traj: Trajectory, u_tilde: float | None = None) -> list[QuadraticHamiltonian]:
-    """Quadratic-energy coefficients in the instantaneous mode basis, one per snapshot."""
+def h3_of_t(traj: Trajectory) -> list[QuadraticHamiltonian]:
+    """Quadratic-energy coefficients in the instantaneous mode basis, one per snapshot.
+
+    Each is assembled at the trajectory's u_tilde and snapshot ``mu_t``.
+    """
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
-    u = traj.u_tilde if u_tilde is None else u_tilde
-    out = []
-    for i, t in enumerate(traj.times):
-        out.append(
-            assemble_from_fields(
-                traj.xi_t[i].values,
-                traj.modes_t[i],
-                traj.potential_of_t(t),
-                u,
-                traj.mu_t[i],
-            )
-        )
-    return out
+    return [
+        assemble_from_fields(xi.values, modes, traj.potential_of_t(t), traj.u_tilde, mu)
+        for xi, modes, t, mu in zip(traj.xi_t, traj.modes_t, traj.times, traj.mu_t)
+    ]
 
 
 def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
@@ -396,16 +395,12 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
     """
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
-    grid = traj.grid
-    out = []
-    for i, t in enumerate(traj.times):
-        xi = traj.xi_t[i].values
-        phi = traj.modes_t[i].mode_matrix
-        gp = apply_gp_operator(grid, traj.potential_of_t(t), traj.u_tilde, xi)
-        h2 = phi.conj() @ gp * grid.dx
-        hr = -1j * (phi.conj() @ traj.xi_dot_t[i]) * grid.dx
-        mismatch = float(np.linalg.norm(h2 + hr))
-        out.append(HrDiagnostic(time=float(t), h2_vector=h2, hr_vector=hr, mismatch=mismatch))
+    dx, out = traj.grid.dx, []
+    for t, xi, modes, xi_dot in zip(traj.times, traj.xi_t, traj.modes_t, traj.xi_dot_t):
+        phi = modes.mode_matrix.conj()
+        h_psi = _gp_operator(traj.grid, traj.potential_of_t(t), traj.u_tilde, xi.values)[0]
+        h2, hr = phi @ h_psi * dx, -1j * (phi @ xi_dot) * dx
+        out.append(HrDiagnostic(float(t), h2, hr, float(np.linalg.norm(h2 + hr))))
     return out
 
 

@@ -421,6 +421,13 @@ class TestH3Expectation:
         spec = diagonalize(qh, basis)
         assert h3_expectation(qh, occ) == pytest.approx(spec.omega_g + 1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_occupations_must_be_finite_and_non_negative(self, trap_states, bad):
+        state = trap_states[0.0]
+        qh = assemble(state, build_phonon_basis(state, 4))
+        with pytest.raises(ConfigurationError, match="occupations"):
+            h3_expectation(qh, [0.0, bad, 0.0, 0.0])
+
     def test_uniform_pair_excitation(self, uniform_state, uniform_grid):
         basis = plane_wave_basis(uniform_state, 8)
         qh = assemble(uniform_state, basis)

@@ -156,6 +156,24 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, bad, outdir=tmp_path / "out")]) == 2
         assert spec in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config, old, new, match",
+        [
+            ("spectrum_uniform.ini", "k_modes = 16", "k_modes = 63", "K must be"),
+            ("dynamics_quench.ini", "t_final = 1.0", "t_final = 1.0001", "t_final"),
+            ("dynamics_quench.ini", "dt = 2e-4", "dt = 0.3", "t_final"),
+            ("homogeneous_check.ini", "n_particles = 1000", "n_particles = 1000.5", "integer"),
+        ],
+    )
+    def test_rejects_what_run_rejects(self, tmp_path, capsys, config, old, new, match):
+        # Each config is one that run refuses; validate refuses it too, before any solve.
+        text = (SHIPPED_CONFIGS[0].parent / config).read_text()
+        assert old in text
+        path = tmp_path / config
+        path.write_text(text.replace(old, new))
+        assert main(["validate", str(path)]) == 2
+        assert match in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         path = write_config(
             tmp_path, UNIFORM_SPECTRUM + "\n[plotting]\nstyle = dark\n", outdir=tmp_path

@@ -153,7 +153,14 @@ class TestSolveStationary:
             solve_stationary(trap_grid, ComplexField(values, trap_grid), **kwargs)
 
     def test_nan_residual_never_passes(self, monkeypatch, trap_grid):
-        monkeypatch.setattr(gpe, "_residual_norm", lambda *args: float("nan"))
+        # H psi reads NaN everywhere but inside the descent, which passes its own T psi.
+        real = gpe._gp_operator
+
+        def nan_operator(grid, v_real, u_tilde, psi, t_psi=None):
+            h_psi, mu, h1 = real(grid, v_real, u_tilde, psi, t_psi)
+            return (h_psi if t_psi is not None else np.full_like(h_psi, np.nan)), mu, h1
+
+        monkeypatch.setattr(gpe, "_gp_operator", nan_operator)
         with pytest.raises(ConvergenceError, match="stalled at residual nan"):
             solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=1.0)
 
@@ -249,8 +256,8 @@ def perturbed_newton_problem(state):
     v_real = state.potential.values.real
     psi = state.xi.values.real + 1e-3 * np.sin(3.0 * np.pi * grid.points / grid.length)
     psi /= np.sqrt(np.sum(psi**2) * grid.dx)
-    mu = gpe._quadrature_mu_h1(grid, v_real, state.u_tilde, psi)[0]
-    residual = gpe.apply_gp_operator(grid, v_real, state.u_tilde, psi).real - mu * psi
+    h_psi, mu, _ = gpe._gp_operator(grid, v_real, state.u_tilde, psi)
+    residual = h_psi.real - mu * psi
     return v_real, psi, mu, -residual
 
 
@@ -376,6 +383,36 @@ class TestNewtonPolish:
         assert isinstance(excinfo.value.__cause__, ConvergenceError)
         # The descent's hand-over residual.
         assert default_tol(trap_grid) < excinfo.value.residual < gpe._HANDOVER
+
+    @pytest.mark.parametrize("n_points, boundary", [(256, "box"), (1024, "box"), (128, "periodic")])
+    def test_one_kinetic_application_per_evaluation(self, monkeypatch, n_points, boundary):
+        # Outside the descent, the CG solves and the choice of start, the solve
+        # applies T once at the hand-over and once per Newton trial.
+        calls, paused = [], []
+        kinetic = gpe._kinetic_values
+
+        def counted(grid, values):
+            if not paused:
+                calls.append(1)
+            return kinetic(grid, values)
+
+        def pausing(inner):
+            def wrapper(*args, **kwargs):
+                paused.append(1)
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    paused.pop()
+
+            return wrapper
+
+        monkeypatch.setattr(gpe, "_kinetic_values", counted)
+        for name in ("_descend", "_solve_linearized", "_starting_orbital"):
+            monkeypatch.setattr(gpe, name, pausing(getattr(gpe, name)))
+        grid = build_grid(n_points, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        assert state.trace.newton_steps >= 2
+        assert len(calls) == 1 + state.trace.newton_steps
 
 
 class TestDefaultTol:

@@ -364,6 +364,13 @@ class TestFockOracle:
         with pytest.raises(ConfigurationError):
             exact_fock_spectrum(10, 0.0, 0.1, 1.0, 10)
 
+    def test_whole_float_counts_accepted(self):
+        whole = exact_fock_spectrum(10.0, 1.0, 0.1, 1.0, 5.0)
+        exact = exact_fock_spectrum(10, 1.0, 0.1, 1.0, 5)
+        assert (whole.n_particles, whole.dimension) == (exact.n_particles, exact.dimension)
+        assert np.array_equal(whole.gaps, exact.gaps)
+        assert whole.sector_minima == exact.sector_minima
+
     def test_particle_number_is_not_capped(self):
         spec = exact_fock_spectrum(61, 1.0, 0.1, 1.0, 10)
         assert spec.dimension == _basis_size(10)
@@ -408,3 +415,34 @@ class TestFockOracle:
         assert [chained[tuple(int(x) for x in st)][0] for st in stacked] == list(
             np.repeat(np.arange(-5, 6), np.diff(offsets))
         )
+
+
+@pytest.mark.parametrize(
+    "oracle, args",
+    [
+        (number_conservation_offblock, (10, 1.0, float("nan"), 1.0, 5)),
+        (number_conservation_offblock, (10, 1.0, 0.1, float("inf"), 5)),
+        (number_conservation_offblock, (10.5, 1.0, 0.1, 1.0, 5)),
+        (exact_fock_spectrum, (10.5, 1.0, 0.1, 1.0, 5)),
+        (exact_fock_spectrum, (10, 1.0, 0.1, 1.0, 5.5)),
+        (exact_fock_spectrum, (10, 1.0, float("nan"), 1.0, 5)),
+        (exact_fock_spectrum, (10, 1.0, 0.1, float("inf"), 5)),
+        (exact_fock_spectrum, (10, float("nan"), 0.1, 1.0, 5)),
+        (exact_fock_spectrum, (10, float("inf"), 0.1, 1.0, 5)),
+        (exact_fock_spectrum, (10, 1.0, 0.1, 0.0, 5)),
+        (number_conservation_offblock, (10, 1.0, 0.1, -1.0, 5)),
+        (bogoliubov_dispersion, (float("nan"), 1.0, 1.0)),
+        (bogoliubov_dispersion, (1.0, float("inf"), 1.0)),
+        (bogoliubov_dispersion, (1.0, 1.0, float("nan"))),
+        (bogoliubov_dispersion, (1.0, 1.0, 0.0)),
+        (hydro_coefficients, (float("nan"), 1.0, 10, 1.0)),
+        (hydro_coefficients, (1.0, float("inf"), 10, 1.0)),
+        (hydro_coefficients, (1.0, 1.0, 10, float("inf"))),
+    ],
+    ids=lambda value: getattr(value, "__name__", None) or repr(value),
+)
+def test_oracles_reject_non_finite_or_fractional_inputs(oracle, args):
+    # No result is defined for these; a number (0.0 reads "conserved") or a
+    # LAPACK error would hide that.
+    with pytest.raises(ConfigurationError):
+        oracle(*args)

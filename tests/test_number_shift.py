@@ -65,8 +65,6 @@ class TestDxiDN:
     def test_bad_delta(self, trap_problem):
         with pytest.raises(ConfigurationError):
             dxi_dN(trap_problem, 100.0, -0.5)
-        with pytest.raises(ConfigurationError):
-            dxi_dN(trap_problem, 100.0, 0.5, scheme="spectral")
 
 
 class TestExactDxiDN:

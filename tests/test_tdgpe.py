@@ -7,7 +7,7 @@ from bogolib.bdg import PhononBasis, build_phonon_basis
 from bogolib.errors import ConfigurationError, DimensionMismatchError, IntegratorError
 from bogolib.gpe import (
     CondensateState,
-    apply_gp_operator,
+    _gp_operator,
     chemical_potential,
     harmonic_potential,
     solve_stationary,
@@ -155,7 +155,7 @@ def reference_mode_propagation(traj, basis):
     step = reference_stepper(grid, dt, u_eff, pot)
 
     def rhs(values, t):
-        return -1j * apply_gp_operator(grid, pot(t), u_eff, values)
+        return -1j * _gp_operator(grid, pot(t), u_eff, values)[0]
 
     def mode_rhs(phi, psi, psi_dot):
         c = np.vdot(psi, psi_dot) * dx
@@ -343,17 +343,19 @@ class TestPropagateModes:
             assert np.array_equal(wrapped.modes_t[i].mode_matrix, one_pass.modes_t[i].mode_matrix)
 
     def test_modes_evaluate_no_right_hand_side(self, trap_state_u1, monkeypatch):
+        # The operator is evaluated once per snapshot (for mu and h1), never per step.
         calls = []
-        real = tdgpe.apply_gp_operator
+        real = tdgpe._gp_operator
 
         def spy(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(tdgpe, "apply_gp_operator", spy)
+        monkeypatch.setattr(tdgpe, "_gp_operator", spy)
         basis = build_phonon_basis(trap_state_u1, 8)
-        propagate(trap_state_u1, t_final=0.1, dt=1e-3, stride=20, basis=basis)
-        assert calls == []
+        traj = propagate(trap_state_u1, t_final=0.1, dt=1e-3, stride=20, basis=basis)
+        assert traj.n_steps == 100 and traj.n_snapshots == 6
+        assert len(calls) == traj.n_snapshots
 
     def test_rejects_bad_basis(self, trap_state_u1, trap_grid):
         traj = propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10)
