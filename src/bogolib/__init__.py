@@ -26,7 +26,6 @@ from .errors import (
     BogolibError,
     ConfigurationError,
     ConvergenceError,
-    DegeneracyError,
     DimensionMismatchError,
     InstabilityError,
     IntegratorError,

@@ -1,5 +1,12 @@
 """Quadratic phonon Hamiltonian in the subspace orthogonal to the condensate.
 
+The phonon basis (``build_phonon_basis``) is orthonormal, orthogonal to xi
+and spans span(xi, Phi_K) with Phi_K the K lowest eigenfunctions of T + V,
+from one Householder reflector (Golub & Van Loan, Matrix Computations, 4th
+ed., sec. 5.1).  When xi's part tau outside Phi_K has |tau| <= 1e-8 ~ sqrt(eps),
+tau's direction keeps fewer than half the working digits and Phi_{K+1}
+replaces it; every mode lies in span(xi, Phi_{K+1}).
+
 The quadratic energy in a K-mode basis {xi_k} orthogonal to the condensate
 xi is parametrized by a Hermitian matrix M = L + F and a symmetric matrix G:
 
@@ -35,12 +42,7 @@ from functools import lru_cache
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    ConfigurationError,
-    DegeneracyError,
-    DimensionMismatchError,
-    InstabilityError,
-)
+from .errors import ConfigurationError, DimensionMismatchError, InstabilityError
 from .gpe import CondensateState
 from .grid import (
     ComplexField,
@@ -53,6 +55,10 @@ from .grid import (
 
 POSITIVE_NORM_THRESHOLD = 1e-8
 REALITY_TOLERANCE = 1e-9
+# Below this norm the part of xi outside the K lowest modes of T + V keeps
+# fewer than half the working digits (sqrt(eps) ~ 1.5e-8), so its direction
+# is round-off; the (K+1)-th mode takes its place in the phonon basis.
+_TAIL_FLOOR = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,43 +158,40 @@ def _check_mode_count(grid: Grid1D, K) -> None:
 
 
 def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
-    """Lowest-K single-particle modes projected orthogonal to the condensate.
+    """K orthonormal modes of span(xi, Phi_K) orthogonal to xi (see the module docstring).
 
-    Takes the K+1 lowest eigenfunctions of -1/2 d^2/dx^2 + V, removes the
-    component along xi, drops any candidate that loses essentially all its
-    norm to the projection (the condensate direction itself), and returns
-    the first K orthonormal survivors.  The eigenfunctions of T + V are
-    memoized per grid, potential and K (a few traps at a time), so later
-    bases in the same trap skip the dense ``eigh``; a hit returns the same
-    vectors bit for bit.
+    With tau the part of xi outside Phi_K, Q = [Phi_K; tau/|tau|], or
+    Phi_{K+1} when |tau| <= ``_TAIL_FLOOR``.  One Householder reflector U
+    maps c_j = <Q_j, xi> onto e0; rows 1..K of conj(U) Q, projected once off
+    xi, are the modes.  The eigenfunctions of T + V are memoized per grid,
+    potential and K (a few traps at a time), so later bases in the same trap
+    skip the dense ``eigh``; a hit returns the same vectors bit for bit.
     """
     grid = state.grid
     _check_mode_count(grid, K)
-    candidates = _single_particle_modes(
+    q = _single_particle_modes(
         grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
-    )
+    ).astype(np.complex128)
 
     dx = grid.dx
     xi_hat = state.xi.values / np.sqrt(np.vdot(state.xi.values, state.xi.values).real * dx)
-    accepted: list[np.ndarray] = []
-    for cand in candidates:
-        v = cand.astype(np.complex128, copy=True)
-        for _ in range(2):
-            v -= xi_hat * (np.vdot(xi_hat, v) * dx)
-            for b in accepted:
-                v -= b * (np.vdot(b, v) * dx)
-        nrm = np.sqrt(np.vdot(v, v).real * dx)
-        if nrm < 1e-6:
-            continue  # candidate was the condensate direction
-        accepted.append(v / nrm)
-        if len(accepted) == K:
-            break
-    if len(accepted) < K:
-        raise DegeneracyError(
-            f"only {len(accepted)} independent modes found, requested {K}",
-            index=len(accepted),
-        )
-    return PhononBasis(np.array(accepted), state.xi)
+    # Projected twice: one pass leaves a part of order eps inside span(Phi_K),
+    # which 1/|tau| amplifies (a 6e-10 Gram error at |tau| = 1.9e-6).
+    tail = xi_hat - (q[:K] @ xi_hat.conj()).conj() * dx @ q[:K]
+    tail -= (q[:K] @ tail.conj()).conj() * dx @ q[:K]
+    tail_norm = np.sqrt(np.vdot(tail, tail).real * dx)
+    if tail_norm > _TAIL_FLOOR:
+        q[K] = tail / tail_norm
+
+    c = (q @ xi_hat.conj()).conj() * dx
+    v = c.copy()
+    v[0] += np.exp(1j * np.angle(c[0])) * np.linalg.norm(c)
+    # U = I - 2 v v^H / |v|^2 sends c to a multiple of e0.  conj(U) Q and the
+    # projection off xi are rank-1 updates, each one in-place BLAS zgeru on q.T.
+    scipy.linalg.blas.zgeru(-2.0 / np.vdot(v, v).real, v @ q, v.conj(), a=q.T, overwrite_a=1)
+    modes = q[1:]
+    scipy.linalg.blas.zgeru(-dx, xi_hat, (modes @ xi_hat.conj()).conj(), a=modes.T, overwrite_a=1)
+    return PhononBasis(modes, state.xi)
 
 
 def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:

@@ -2,7 +2,7 @@
 
 Every error carries an ``exit_code`` used by the command-line front end:
 2 = bad configuration or input, 3 = numerical failure (non-convergence,
-degeneracy, integrator breakdown), 4 = dynamical instability, 5 = resource
+integrator breakdown, truncation), 4 = dynamical instability, 5 = resource
 limit exceeded.
 """
 
@@ -39,22 +39,6 @@ class ConvergenceError(BogolibError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
-
-
-class DegeneracyError(BogolibError):
-    """Orthonormalization hit a numerically dependent input.
-
-    Attributes
-    ----------
-    index : int
-        Index of the offending input field.
-    """
-
-    exit_code = 3
-
-    def __init__(self, message, index=None):
-        super().__init__(message)
-        self.index = index
 
 
 class IntegratorError(BogolibError):

@@ -159,11 +159,12 @@ def _fock_basis(n_particles: int, cap: int):
 def _hamiltonian_entries(states: np.ndarray, omega_k: float, g2: float):
     """Entries (row, col, value) of H = omega_k (n+ + n-) + g2 * (sum of quartic terms).
 
-    ``states`` may mix different totals.  The kinetic diagonal comes
-    first; then each quartic term acts on every state in one numpy pass,
-    its targets looked up by ``searchsorted`` on the occupations encoded
-    as mixed-radix integers.  Zero amplitudes and targets outside the
-    basis are dropped; repeated (row, col) pairs are to be summed.
+    ``states`` may mix different totals.  Each quartic term acts on every
+    state in one numpy pass; a term that gives the state back is added, in
+    term order, into the kinetic diagonal (the first entries, one per state).
+    The other terms' targets are found by ``searchsorted`` on mixed-radix
+    encoded occupations; zero amplitudes and targets outside the basis are
+    dropped, and repeated (row, col) pairs are to be summed.
     """
     lo, hi = states.min(axis=0), states.max(axis=0)
     radix = hi - lo + 1
@@ -176,7 +177,8 @@ def _hamiltonian_entries(states: np.ndarray, omega_k: float, g2: float):
     order = np.argsort(keys)
     keys = keys[order]
     cols = np.arange(len(states))
-    rows_out, cols_out, vals_out = [cols], [cols], [omega_k * (states[:, 1] + states[:, 2])]
+    diagonal = omega_k * (states[:, 1] + states[:, 2])
+    rows_out, cols_out, vals_out = [cols], [cols], [diagonal]
     for i1, i2, i3, i4 in _QUARTIC_TERMS:
         occ = states.copy()
         amp = np.full(len(states), g2)
@@ -186,6 +188,9 @@ def _hamiltonian_entries(states: np.ndarray, omega_k: float, g2: float):
         for up in (i2, i1):
             occ[:, up] += 1
             amp *= np.sqrt(occ[:, up].clip(min=0))
+        if sorted((i1, i2)) == sorted((i3, i4)):
+            diagonal += amp
+            continue
         target = encode(occ)
         pos = np.searchsorted(keys, target).clip(max=len(keys) - 1)
         hit = (amp != 0.0) & np.all((occ >= lo) & (occ <= hi), axis=1) & (keys[pos] == target)

@@ -147,6 +147,9 @@ class Trajectory:
     # Per snapshot: max |Gram - I| of the modes and max |<xi_k, xi>|.
     gram_t: np.ndarray | None = None
     overlap_t: np.ndarray | None = None
+    # (n_snapshots, K): h2_k = <xi_k | H xi>, H the Gross-Pitaevskii operator
+    # at the physical u_tilde, from the same evaluation as mu_t and h1_t.
+    h2_t: np.ndarray | None = None
 
     @property
     def n_snapshots(self) -> int:
@@ -250,7 +253,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
     states: dict[int, np.ndarray] = {0: xi0.copy()}
-    xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t = [], [], [], [], [], [], []
+    xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t, h2_t = [], [], [], [], [], [], [], []
     spec = to_spectral(grid, xi0)
     chi = half * spec
     for j in range(n_steps + 1):
@@ -270,7 +273,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         nrm = norm(xi)
         if not abs(nrm - 1.0) <= 1e-6:  # also catches NaN
             raise IntegratorError(f"norm drifted to {nrm} at t = {t}; reduce dt")
-        _, mu, h1 = _gp_operator(grid, pot(t), u_tilde, xi.values)
+        h_xi, mu, h1 = _gp_operator(grid, pot(t), u_tilde, xi.values)
         xi_t.append(xi)
         mu_t.append(mu)
         h1_t.append(h1)
@@ -287,6 +290,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             modes_t.append(PhononBasis(modes, xi))
             gram_t.append(gram_dev)
             overlap_t.append(ovl)
+            h2_t.append(modes.conj() @ h_xi * dx)
 
     xi_dot_t = np.array([
         _fd_first_derivative_weights(np.arange(lo - j, lo - j + 5, dtype=float))
@@ -312,6 +316,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
         modes_t=modes_t if with_modes else None,
         gram_t=np.asarray(gram_t) if with_modes else None,
         overlap_t=np.asarray(overlap_t) if with_modes else None,
+        h2_t=np.asarray(h2_t) if with_modes else None,
     )
 
 
@@ -387,8 +392,8 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
     """Cancellation check between phonon-linear and kinematic coefficients.
 
     h2_k projects the full interacting right-hand side (physical u_tilde)
-    onto the modes; hr_k projects -i times the measured time derivative
-    ``traj.xi_dot_t``.
+    onto the modes, as stored per snapshot in ``traj.h2_t``; hr_k projects
+    -i times the measured time derivative ``traj.xi_dot_t``.
     Their sum vanishes exactly when the stored motion solves the
     interacting equation, and is of order u_tilde times the projected
     nonlinearity when it does not.
@@ -396,10 +401,8 @@ def hr_diagnostic(traj: Trajectory) -> list[HrDiagnostic]:
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")
     dx, out = traj.grid.dx, []
-    for t, xi, modes, xi_dot in zip(traj.times, traj.xi_t, traj.modes_t, traj.xi_dot_t):
-        phi = modes.mode_matrix.conj()
-        h_psi = _gp_operator(traj.grid, traj.potential_of_t(t), traj.u_tilde, xi.values)[0]
-        h2, hr = phi @ h_psi * dx, -1j * (phi @ xi_dot) * dx
+    for t, modes, h2, xi_dot in zip(traj.times, traj.modes_t, traj.h2_t, traj.xi_dot_t):
+        hr = -1j * (modes.mode_matrix.conj() @ xi_dot) * dx
         out.append(HrDiagnostic(float(t), h2, hr, float(np.linalg.norm(h2 + hr))))
     return out
 

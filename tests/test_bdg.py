@@ -69,6 +69,31 @@ class TestBuildPhononBasis:
         assert np.max(np.abs(gram - np.eye(32))) < 1e-10
         assert np.max(np.abs(phi.conj() @ state.xi.values * state.grid.dx)) < 1e-10
 
+    @pytest.mark.parametrize(
+        ("n_points", "u_tilde", "K"),
+        [(128, 1.0, 64), (1024, 2.0, 64), (128, 10.0, 32), (128, 0.0, 32)],
+    )
+    def test_modes_lie_in_span_of_condensate_and_lowest_modes(self, trap_states, n_points, u_tilde, K):
+        # Each row's part outside span(Phi_{K+1}), the K+1 lowest eigenvectors
+        # of T + V, must be a multiple of xi's own part rho outside it.  The
+        # first two cases have |tau| ~ 1e-12, the third |tau| = 1.9e-6; at
+        # u_tilde = 0, xi is the lowest eigenvector itself.
+        state = trap_states[u_tilde] if n_points == 128 else _trap_state(n_points, u_tilde=u_tilde)
+        grid = state.grid
+        h0 = kinetic_matrix(grid) + np.diag(state.potential.values.real)
+        lowest = scipy.linalg.eigh(h0, subset_by_index=[0, K])[1].T / np.sqrt(grid.dx)
+
+        def outside(rows):
+            for _ in range(2):
+                rows = rows - (rows @ lowest.T * grid.dx) @ lowest
+            return rows
+
+        rho = outside(state.xi.values)
+        out = outside(build_phonon_basis(state, K).mode_matrix)
+        if np.vdot(rho, rho) > 0:
+            out -= np.outer(out @ rho.conj() / np.vdot(rho, rho), rho)
+        assert np.max(np.sqrt(np.sum(np.abs(out) ** 2, axis=1) * grid.dx)) < 1e-10
+
     def test_projector_reproduced_on_retained_subspace(self, trap_states):
         # sum_k xi_k xi_k^* acts as identity minus condensate projector on
         # any field already inside the retained subspace.

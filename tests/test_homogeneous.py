@@ -230,6 +230,17 @@ class TestFockOracle:
             assert np.all(dense[:n_top, n_top:] == 0.0)
             assert np.all(dense[n_top:, :n_top] == 0.0)
 
+    def test_diagonal_is_one_entry_per_state(self):
+        # The terms that give a state back are summed into the kinetic
+        # diagonal, in term order, before any off-diagonal entry.
+        states = mixed_basis(13, 12)
+        omega_k, g2 = 0.5, 0.15
+        rows, cols, vals = _hamiltonian_entries(states, omega_k, g2)
+        n = len(states)
+        assert np.array_equal(rows[:n], np.arange(n)) and np.array_equal(cols[:n], np.arange(n))
+        assert np.all(rows[n:] != cols[n:])
+        assert np.array_equal(vals[:n], np.diag(fock_hamiltonian_reference(states, omega_k, g2)))
+
     def test_entry_off_the_chains_raises(self, monkeypatch):
         # a^dag_0 a^dag_0 a_0 a_+ changes the momentum: it leaves the sector.
         monkeypatch.setattr(

@@ -592,6 +592,27 @@ class TestHrDiagnostic:
         diags = hr_diagnostic(traj)
         assert max(d.mismatch for d in diags) < 1e-7
 
+    def test_h2_comes_from_the_stepping_pass(self, quench_setup, monkeypatch):
+        # h2_k = <xi_k | H xi> is stored by propagate, so the diagnostic applies
+        # no operator and no transform of its own, and gives the same bytes.
+        traj, _ = quench_setup
+        expected = [
+            modes.mode_matrix.conj()
+            @ _gp_operator(traj.grid, traj.potential_of_t(t), traj.u_tilde, xi.values)[0]
+            * traj.grid.dx
+            for t, xi, modes in zip(traj.times, traj.xi_t, traj.modes_t)
+        ]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hr_diagnostic applied an operator")
+
+        for name in ("_gp_operator", "to_spectral", "from_spectral"):
+            monkeypatch.setattr(tdgpe, name, refuse)
+        diags = hr_diagnostic(traj)
+        assert traj.h2_t.shape == (traj.n_snapshots, 24)
+        for d, h2 in zip(diags, expected):
+            assert np.array_equal(d.h2_vector, h2)
+
     def test_falsified_evolution_fails_to_cancel(self, trap_grid):
         state = solve_stationary(trap_grid, harmonic_potential(trap_grid), u_tilde=10.0)
         basis = build_phonon_basis(state, 24)
