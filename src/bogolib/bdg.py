@@ -24,19 +24,21 @@ q_m = sum_k s_km xi_k.  The scalar left over after normal ordering is
 
     omega_g = E3 + (sum_m eps_m - tr M) / 2.
 
-A stable Hamiltonian has D positive definite and is diagonalized by
-Colpa's method (J. H. P. Colpa, Physica A 93, 327 (1978)): with the
-Cholesky factor D = L L^H, the Hermitian matrix L^H sigma L has K positive
-eigenvalues, the quasiparticle energies, and its eigenvectors Y give the
-symplectic columns T = L^-H Y sqrt(eps) directly.  The general
-non-Hermitian ``eig`` of sigma D runs only when the Cholesky factorization
-fails, i.e. for a complex frequency, a negative energy or a zero mode.
+D must be positive definite, and the spectrum comes from Colpa's method
+(J. H. P. Colpa, Physica A 93, 327 (1978)): with the Cholesky factor
+D = L L^H, the Hermitian matrix L^H sigma L has K positive eigenvalues,
+the quasiparticle energies, and its eigenvectors Y give the symplectic
+columns T = L^-H Y sqrt(eps) directly.  A D that is not positive definite
+(a complex frequency, a negative energy or a zero mode) has no
+quasiparticle spectrum: ``diagonalize`` and ``h3_expectation`` then raise
+``InstabilityError``, whose ``eigenvalues`` are the 2K eigenvalues of
+sigma D.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -53,7 +55,6 @@ from .grid import (
     kinetic_matrix,
 )
 
-POSITIVE_NORM_THRESHOLD = 1e-8
 REALITY_TOLERANCE = 1e-9
 # Below this norm the part of xi outside the K lowest modes of T + V keeps
 # fewer than half the working digits (sqrt(eps) ~ 1.5e-8), so its direction
@@ -91,11 +92,36 @@ class PhononBasis:
 
 @dataclass(frozen=True, eq=False)
 class QuadraticHamiltonian:
-    """Matrices and scalar defining the phonon-quadratic energy."""
+    """Matrices and scalar defining the phonon-quadratic energy.
+
+    M and G are (K, K), K >= 1, with finite entries; M is Hermitian and G
+    symmetric to 1e-10 of their largest entry.
+    """
 
     e3: float
     m_matrix: np.ndarray
     g_matrix: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.m_matrix)
+        g = np.asarray(self.g_matrix)
+        if m.ndim != 2 or m.shape[0] < 1 or m.shape[0] != m.shape[1] or g.shape != m.shape:
+            raise DimensionMismatchError(
+                f"M and G must both be (K, K) with K >= 1, got {m.shape} and {g.shape}"
+            )
+        if not (np.all(np.isfinite(m)) and np.all(np.isfinite(g))):
+            raise ConfigurationError("M and G must have finite entries")
+        # The Cholesky factorization of D reads only its lower triangle, so
+        # an asymmetric input would be diagonalized as a different matrix.
+        scale = max(np.max(np.abs(m)), np.max(np.abs(g)))
+        asymmetry = max(np.max(np.abs(m - m.conj().T)), np.max(np.abs(g - g.T)))
+        if asymmetry > 1e-10 * scale:
+            raise ConfigurationError(
+                f"M must be Hermitian and G symmetric: deviation {asymmetry:.3g} "
+                f"against largest entry {scale:.3g}"
+            )
+        object.__setattr__(self, "m_matrix", m)
+        object.__setattr__(self, "g_matrix", g)
 
     @property
     def n_modes(self) -> int:
@@ -107,9 +133,8 @@ class QuasiparticleSpectrum:
     """Quasiparticle energies, transformation matrices, and wavefunctions.
 
     ``p_waves`` and ``q_waves`` are (K, n_points) arrays, row m the values
-    of p_m and q_m.  ``path`` names the diagonalization that produced them:
-    ``"colpa"`` for a positive-definite D, ``"anomalous"`` for the general
-    ``eig``.
+    of p_m and q_m.  ``diagonalize`` returns one only for a positive-definite
+    D, so its energies are all positive.
     """
 
     energies: np.ndarray
@@ -118,9 +143,6 @@ class QuasiparticleSpectrum:
     p_waves: np.ndarray
     q_waves: np.ndarray
     omega_g: float
-    stable: bool
-    path: str
-    anomalies: tuple[str, ...] = field(default=())
 
 
 @dataclass(frozen=True)
@@ -241,6 +263,24 @@ def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian
     )
 
 
+def _instability(d: np.ndarray) -> InstabilityError:
+    """The error for a D that is not positive definite, with sigma D's eigenvalues.
+
+    lambda_min(D) < 0 with all eigenvalues of sigma D real means a negative
+    energy; a non-zero imaginary part means a complex frequency.
+    """
+    sigma_d = d.copy()
+    sigma_d[d.shape[0] // 2 :] *= -1.0
+    eigenvalues = np.sort(scipy.linalg.eigvals(sigma_d))
+    lowest = scipy.linalg.eigvalsh(d, subset_by_index=[0, 0])[0]
+    return InstabilityError(
+        f"D = [[M, G], [G*, M*]] is not positive definite (lambda_min(D) = {lowest:.6g}, "
+        f"largest |Im| of sigma D's eigenvalues = {np.max(np.abs(eigenvalues.imag)):.3g}); "
+        "there is no quasiparticle spectrum",
+        eigenvalues=eigenvalues,
+    )
+
+
 def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
     """Colpa's Hermitian diagonalization of a positive-definite D.
 
@@ -250,13 +290,16 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
     Y of W the columns of T = L^-H Y sqrt(w) are eigenvectors of sigma D
     with T^H sigma T = I, degenerate clusters included.  Each column's
     phase makes its largest-|u| entry real and positive.  Returns the
-    energies, or (energies, u, v) with T = (u; v).  Raises ``LinAlgError``
-    when D is not positive definite (an instability, a negative energy
-    or a zero mode).
+    energies, or (energies, u, v) with T = (u; v).  Raises
+    ``InstabilityError`` when D is not positive definite (a complex
+    frequency, a negative energy or a zero mode).
     """
     k = m_matrix.shape[0]
     d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]])
-    chol = scipy.linalg.cholesky(d, lower=True)
+    try:
+        chol = scipy.linalg.cholesky(d, lower=True)
+    except scipy.linalg.LinAlgError:
+        raise _instability(d) from None
     sigma_chol = chol.copy()
     sigma_chol[k:] *= -1.0
     w = chol.conj().T @ sigma_chol
@@ -267,7 +310,7 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
         energies = scipy.linalg.eigh(w, eigvals_only=True, subset_by_index=upper)
     if energies[0] <= 0.0:
         # Sylvester's law rules this out unless D is numerically singular.
-        raise scipy.linalg.LinAlgError("D is not numerically positive definite")
+        raise _instability(d)
     if not vectors:
         return energies
     t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
@@ -276,100 +319,22 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
     return energies, t[:k], t[k:]
 
 
-def _anomalous_branch(m_matrix: np.ndarray, g_matrix: np.ndarray):
-    """K eigenpairs of sigma D by the general ``eig`` when D is not definite.
-
-    Keeps the positive-norm eigenpairs, normalized to u^H u - v^H v = 1,
-    and fills the remaining slots from the null-norm subspace, one
-    representative per complex-conjugate pair.  Returns the real parts
-    of the K eigenvalues, u, v, the anomaly notes and whether any
-    eigenvalue of sigma D is complex.
-    """
-    k = m_matrix.shape[0]
-    block = np.block([[m_matrix, g_matrix], [-g_matrix.conj(), -m_matrix.conj()]])
-    eigvals, eigvecs = scipy.linalg.eig(block.astype(np.complex128))
-    u = eigvecs[:k, :]
-    v = eigvecs[k:, :]
-    u_sq = np.sum(np.abs(u) ** 2, axis=0)
-    v_sq = np.sum(np.abs(v) ** 2, axis=0)
-    rel_norms = (u_sq - v_sq) / (u_sq + v_sq)
-
-    anomalies: list[str] = []
-    complex_mask = np.abs(eigvals.imag) > REALITY_TOLERANCE
-    has_complex = bool(np.any(complex_mask))
-    if has_complex:
-        anomalies.append(
-            f"{int(np.sum(complex_mask))} eigenvalues with |Im| > {REALITY_TOLERANCE:g}"
-        )
-
-    pos = np.flatnonzero(rel_norms > POSITIVE_NORM_THRESHOLD)
-    sel_u = u[:, pos].copy()
-    sel_v = v[:, pos].copy()
-    sel_e = eigvals[pos].copy()
-    # Normalize to u^H u - v^H v = 1.
-    sigma = np.sum(np.abs(sel_u) ** 2, axis=0) - np.sum(np.abs(sel_v) ** 2, axis=0)
-    sel_u /= np.sqrt(sigma)
-    sel_v /= np.sqrt(sigma)
-
-    if sel_e.shape[0] < k:
-        # Null-norm pairs (complex-frequency or Goldstone-like); keep one
-        # representative per conjugate pair so the mode count stays K.
-        anomalies.append(
-            f"{k - sel_e.shape[0]} modes taken from zero-norm subspace"
-        )
-        rest = np.flatnonzero(rel_norms <= POSITIVE_NORM_THRESHOLD)
-        order = np.lexsort((-eigvals[rest].imag, np.abs(eigvals[rest].real)))
-        picked = []
-        for idx in rest[order]:
-            ev = eigvals[idx]
-            if any(
-                abs(ev - np.conj(eigvals[j])) < 1e-10 and abs(ev.imag) > REALITY_TOLERANCE
-                for j in picked
-            ):
-                continue
-            picked.append(idx)
-            if sel_e.shape[0] + len(picked) == k:
-                break
-        extra_u = u[:, picked]
-        extra_v = v[:, picked]
-        scale = np.sqrt(np.sum(np.abs(extra_u) ** 2, axis=0) + np.sum(np.abs(extra_v) ** 2, axis=0))
-        sel_u = np.hstack([sel_u, extra_u / scale])
-        sel_v = np.hstack([sel_v, extra_v / scale])
-        sel_e = np.concatenate([sel_e, eigvals[picked]])
-
-    order = np.argsort(sel_e.real)
-    return sel_e.real[order], sel_u[:, order], sel_v[:, order], anomalies, has_complex
-
-
 def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
     """Positive-norm quasiparticle branch of the quadratic Hamiltonian.
 
-    A stable Hamiltonian (D = [[M, G], [G*, M*]] positive definite) is
-    solved by Colpa's method: one Cholesky factorization and one Hermitian
-    ``eigh``, whose upper K eigenpairs give the energies and exactly
-    symplectic columns.  Only when the Cholesky factorization fails (a
-    complex frequency, a negative energy or a zero mode) does the general
-    ``eig`` of sigma D run; the spectrum is then still returned (real
-    parts, Euclidean-normalized null-norm vectors) with ``stable = False``
-    when an energy is complex or negative, and an explanatory anomaly
-    entry.
+    Colpa's method (see the module docstring): one Cholesky factorization
+    of D = [[M, G], [G*, M*]] and one Hermitian ``eigh``, whose upper K
+    eigenpairs give the energies and exactly symplectic columns.  Raises
+    ``InstabilityError``, carrying sigma D's eigenvalues, when D is not
+    positive definite.
     """
     k = qh.n_modes
     if basis.K != k:
         raise DimensionMismatchError("basis size does not match Hamiltonian")
-    try:
-        energies, u, v = _colpa(qh.m_matrix, qh.g_matrix)
-        has_complex, anomalies, path = False, [], "colpa"
-    except scipy.linalg.LinAlgError:
-        energies, u, v, anomalies, has_complex = _anomalous_branch(qh.m_matrix, qh.g_matrix)
-        path = "anomalous"
-
+    energies, u, v = _colpa(qh.m_matrix, qh.g_matrix)
     c_matrix = u
     s_matrix = v.conj()
-
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
-    stable = (not has_complex) and bool(np.all(energies >= -REALITY_TOLERANCE))
-
     return QuasiparticleSpectrum(
         energies=energies,
         c_matrix=c_matrix,
@@ -377,26 +342,19 @@ def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSp
         p_waves=c_matrix.T @ basis.mode_matrix,
         q_waves=s_matrix.T @ basis.mode_matrix,
         omega_g=omega_g,
-        stable=stable,
-        path=path,
-        anomalies=tuple(anomalies),
     )
 
 
 def check_stability(spectrum: QuasiparticleSpectrum) -> StabilityReport:
-    """All energies real and non-negative?  Reports offending modes."""
-    offending = []
-    messages = []
-    for m, eps in enumerate(spectrum.energies):
-        if eps < -REALITY_TOLERANCE:
-            offending.append(m)
-            messages.append(f"mode {m}: negative energy {eps:.6g}")
-    for note in spectrum.anomalies:
-        messages.append(note)
-    stable = spectrum.stable and not offending
-    return StabilityReport(
-        stable=stable, offending_modes=tuple(offending), messages=tuple(messages)
-    )
+    """Energy-sign check: reports every mode with eps_m < -``REALITY_TOLERANCE``.
+
+    ``diagonalize`` raises ``InstabilityError`` instead of returning an
+    unstable spectrum, so its results always pass; this check is for
+    spectra built by other means.
+    """
+    offending = tuple(m for m, eps in enumerate(spectrum.energies) if eps < -REALITY_TOLERANCE)
+    messages = tuple(f"mode {m}: negative energy {spectrum.energies[m]:.6g}" for m in offending)
+    return StabilityReport(stable=not offending, offending_modes=offending, messages=messages)
 
 
 def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
@@ -413,12 +371,6 @@ def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
         )
     if not np.all((occ >= 0) & (occ < np.inf)):  # also catches NaN
         raise ConfigurationError("occupations must be finite and non-negative")
-    try:
-        energies = _colpa(qh.m_matrix, qh.g_matrix, vectors=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise InstabilityError(
-            "quadratic Hamiltonian is not positive definite (complex, negative "
-            "or zero quasiparticle energy); the excitation energies are undefined"
-        ) from exc
+    energies = _colpa(qh.m_matrix, qh.g_matrix, vectors=False)
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
     return omega_g + float(occ @ energies)

@@ -5,12 +5,12 @@ Config files are INI-style with sections ``[scenario]``, ``[grid]``,
 are rejected so typos cannot silently change the physics.  Scalar results
 land in ``summary.json`` (deterministic: resolved config included, no
 wall-clock data), arrays in CSV files; timing, version info and what the
-solvers did (the stationary ``SolveTrace``, the diagonalization path) go
-to the separate ``run_meta.json``.
+solvers did (the stationary ``SolveTrace``) go to the separate
+``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver/integrator
-failure, 4 instability detected (outputs still written), 5 resource
-limit.
+failure, 4 instability detected (a spectrum run still writes its outputs;
+``modes.csv`` then holds the eigenvalues of sigma D), 5 resource limit.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .bdg import _check_mode_count, assemble, build_phonon_basis, check_stability, diagonalize
+from .bdg import _check_mode_count, assemble, build_phonon_basis, diagonalize
 from .errors import BogolibError, ConfigurationError, InstabilityError
 from .gpe import (
     default_tol,
@@ -443,9 +443,17 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     qh = assemble(state, basis)
-    spectrum = diagonalize(qh, basis)
-    out.solver["spectrum_path"] = spectrum.path
-    report = check_stability(spectrum)
+    results = {"mu": state.mu, "e3": qh.e3, "stable": False, "n_modes": K}
+    try:
+        spectrum = diagonalize(qh, basis)
+    except InstabilityError as exc:
+        out.csv(
+            "modes.csv",
+            ["index", "re", "im"],
+            [[i, float(e.real), float(e.imag)] for i, e in enumerate(exc.eigenvalues)],
+        )
+        exc.results = results
+        raise
 
     uniform = (
         config["physics"]["_potential_parsed"][0] == "none" and grid.boundary == "periodic"
@@ -471,14 +479,9 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
             for m, (e, ref) in enumerate(zip(spectrum.energies, analytic))
         ]
 
-    results = {
-        "mu": state.mu,
-        "e3": qh.e3,
-        "omega_g": spectrum.omega_g,
-        "stable": report.stable,
-        "n_modes": int(len(spectrum.energies)),
-        "lowest_energy": float(spectrum.energies[0]),
-    }
+    results.update(
+        stable=True, omega_g=spectrum.omega_g, lowest_energy=float(spectrum.energies[0])
+    )
     odd = [float(e) for e, p in zip(spectrum.energies, parities) if p == "odd"]
     if odd:
         results["lowest_odd_parity_energy"] = odd[0]
@@ -488,10 +491,6 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
         )
 
     out.csv("modes.csv", header, rows)
-    if not report.stable:
-        error = InstabilityError("; ".join(report.messages) or "unstable spectrum")
-        error.results = results
-        raise error
     return results
 
 
@@ -574,7 +573,6 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     spectrum = diagonalize(assemble(state, basis), basis)
-    out.solver["spectrum_path"] = spectrum.path
     report = build_report(problem, state, basis, spectrum)
 
     # Row by row through grid.norm, so the summary keeps its last digits.

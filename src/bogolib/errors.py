@@ -54,9 +54,22 @@ class TruncationError(BogolibError):
 
 
 class InstabilityError(BogolibError):
-    """Excitation spectrum failed the stability check."""
+    """The quadratic Hamiltonian has no quasiparticle spectrum.
+
+    Raised when D = [[M, G], [G*, M*]] is not positive definite: a
+    complex frequency, a negative energy or a zero mode.
+
+    Attributes
+    ----------
+    eigenvalues : numpy.ndarray or None
+        The 2K eigenvalues of sigma D, sorted by real then imaginary part.
+    """
 
     exit_code = 4
+
+    def __init__(self, message, eigenvalues=None):
+        super().__init__(message)
+        self.eigenvalues = eigenvalues
 
 
 class ResourceError(BogolibError):

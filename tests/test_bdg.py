@@ -6,6 +6,7 @@ import bogolib.bdg as bdg
 from bogolib.bdg import (
     PhononBasis,
     QuadraticHamiltonian,
+    QuasiparticleSpectrum,
     assemble,
     assemble_from_fields,
     build_phonon_basis,
@@ -273,7 +274,21 @@ class TestDiagonalize:
         assert np.max(np.abs(spec.energies - np.arange(1, 13))) < 1e-6
         assert np.max(np.abs(spec.s_matrix)) < 1e-9
         assert abs(spec.omega_g) < 1e-10
-        assert spec.stable
+        assert check_stability(spec).stable
+
+    @pytest.mark.parametrize(
+        "m, g, error",
+        [
+            ([[1.0, 5.0], [0.0, 1.0]], np.zeros((2, 2)), ConfigurationError),  # M not Hermitian
+            (np.eye(2), np.zeros((3, 3)), DimensionMismatchError),
+            (np.ones((2, 3)), np.ones((2, 3)), DimensionMismatchError),
+            ([[1.0, np.nan], [np.nan, 1.0]], np.zeros((2, 2)), ConfigurationError),
+            (np.zeros((0, 0)), np.zeros((0, 0)), DimensionMismatchError),
+        ],
+    )
+    def test_malformed_hamiltonian_rejected(self, m, g, error):
+        with pytest.raises(error):
+            QuadraticHamiltonian(e3=0.0, m_matrix=np.asarray(m, dtype=complex), g_matrix=g)
 
     def test_uniform_dispersion(self, uniform_state, uniform_grid):
         basis = build_phonon_basis(uniform_state, 16)
@@ -312,26 +327,6 @@ class TestDiagonalize:
                 pn = np.vdot(p, p).real * grid.dx
                 qn = np.vdot(q, q).real * grid.dx
                 assert pn - qn == pytest.approx(1.0, abs=1e-9)
-
-    def test_general_eig_only_for_indefinite_hamiltonians(self, trap_states, uniform_state, monkeypatch):
-        calls = []
-        real_eig = scipy.linalg.eig
-
-        def spy(*args, **kwargs):
-            calls.append(1)
-            return real_eig(*args, **kwargs)
-
-        monkeypatch.setattr(bdg.scipy.linalg, "eig", spy)
-        for state, k in ((trap_states[10.0], 32), (uniform_state, 16)):
-            basis = build_phonon_basis(state, k)
-            qh = assemble(state, basis)
-            diagonalize(qh, basis)
-            h3_expectation(qh, np.zeros(k))
-        assert calls == []
-        basis = plane_wave_basis(uniform_state, 2)
-        for m, g in _INDEFINITE:
-            diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g), basis)
-        assert len(calls) == len(_INDEFINITE)
 
     def test_completeness_reconstruction(self, trap_states):
         # Inverting the transformation must reproduce the inputs:
@@ -394,39 +389,54 @@ class TestStability:
             assert report.stable
             assert report.offending_modes == ()
 
-    def test_negative_mode_reported(self, uniform_state):
-        basis = plane_wave_basis(uniform_state, 2)
-        qh = QuadraticHamiltonian(
-            e3=0.0,
-            m_matrix=np.diag([-1.0, 2.0]).astype(complex),
-            g_matrix=np.zeros((2, 2), dtype=complex),
+    def test_negative_mode_reported(self):
+        spec = QuasiparticleSpectrum(
+            energies=np.array([-0.5, 1.0, -2e-9]),
+            c_matrix=np.eye(3),
+            s_matrix=np.zeros((3, 3)),
+            p_waves=np.zeros((3, 4)),
+            q_waves=np.zeros((3, 4)),
+            omega_g=0.0,
         )
-        spec = diagonalize(qh, basis)
         report = check_stability(spec)
         assert not report.stable
-        assert 0 in report.offending_modes
+        assert report.offending_modes == (0, 2)
         assert "negative energy" in report.messages[0]
 
-    def test_path_names_the_diagonalization(self, trap_states):
-        state = trap_states[10.0]
-        basis = build_phonon_basis(state, 16)
-        assert diagonalize(assemble(state, basis), basis).path == "colpa"
-        # Above the lowest excitation energies, mu makes M indefinite.
-        qh = assemble_from_fields(
-            state.xi.values, basis, state.potential.values, state.u_tilde, state.mu + 3.0
-        )
-        spec = diagonalize(qh, basis)
-        assert not spec.stable
-        assert spec.path == "anomalous"
-
-    def test_complex_frequencies_flagged(self, uniform_state):
-        basis = plane_wave_basis(uniform_state, 2)
-        m = np.diag([1.0, 1.0]).astype(complex)
-        g = np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)
-        spec = diagonalize(QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g), basis)
-        assert not spec.stable
-        assert spec.anomalies
-        assert np.max(np.abs(spec.energies)) < 1e-9  # real parts of +-i sqrt(3)
+    @pytest.mark.parametrize("case", ["negative", "complex", "trap_mu_plus_3"])
+    def test_indefinite_d_raises_with_sigma_d_eigenvalues(self, case, trap_states, uniform_state):
+        if case == "trap_mu_plus_3":
+            # Above the lowest excitation energies, mu makes M indefinite.
+            state = trap_states[10.0]
+            basis = build_phonon_basis(state, 16)
+            qh = assemble_from_fields(
+                state.xi.values, basis, state.potential.values, state.u_tilde, state.mu + 3.0
+            )
+        else:
+            basis = plane_wave_basis(uniform_state, 2)
+            m, g = _INDEFINITE[case == "complex"]
+            qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g)
+        with pytest.raises(InstabilityError, match="not positive definite") as from_diag:
+            diagonalize(qh, basis)
+        with pytest.raises(InstabilityError) as from_h3:
+            h3_expectation(qh, np.zeros(basis.K))
+        assert str(from_h3.value) == str(from_diag.value)
+        eigenvalues = from_diag.value.eigenvalues
+        np.testing.assert_array_equal(from_h3.value.eigenvalues, eigenvalues)
+        assert eigenvalues.shape == (2 * basis.K,)
+        # Eigenvalues of sigma D come in pairs (lambda, -conj(lambda)).
+        mirror = -eigenvalues.conj()
+        assert np.max(np.min(np.abs(eigenvalues[:, None] - mirror[None, :]), axis=1)) < 1e-9
+        exact = {
+            "negative": np.array([-2.0, -1.0, 1.0, 2.0]),
+            "complex": np.sqrt(3.0) * np.array([-1j, -1j, 1j, 1j]),
+        }.get(case)
+        if exact is not None:
+            assert "lambda_min(D) = -1," in str(from_diag.value)
+            # Real and imaginary parts separately: the order of values whose
+            # real parts are round-off is itself round-off.
+            assert np.max(np.abs(np.sort(eigenvalues.real) - exact.real)) < 1e-12
+            assert np.max(np.abs(np.sort(eigenvalues.imag) - exact.imag)) < 1e-12
 
 
 class TestH3Expectation:

@@ -3,9 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
+from bogolib.bdg import QuadraticHamiltonian
 from bogolib.cli import OUTPUT_DIR_ENV, main
 from bogolib.errors import (
     ConfigurationError,
@@ -259,11 +261,10 @@ class TestRun:
         summary = (tmp_path / "summary.json").read_text()
         assert '"trace"' not in summary and "descent_steps" not in summary
 
-    def test_run_meta_records_diagonalization_path(self, tmp_path):
+    def test_run_meta_records_spectrum_stop_reason(self, tmp_path):
         outdir = tmp_path / "out"
         assert main(["run", write_config(tmp_path, UNIFORM_SPECTRUM, outdir=outdir)]) == 0
         solver = json.loads((outdir / "run_meta.json").read_text())["solver"]
-        assert solver["spectrum_path"] == "colpa"
         assert solver["stationary"]["stop_reason"] == "tol reached in descent"
 
     def test_fock_oracle_beyond_sixty_particles(self, tmp_path):
@@ -368,19 +369,25 @@ class TestExitCodes:
 
     def test_instability_exit_code_still_writes_spectrum(self, tmp_path, monkeypatch):
         import bogolib.cli as cli_mod
-        from bogolib.bdg import StabilityReport
 
-        monkeypatch.setattr(
-            cli_mod,
-            "check_stability",
-            lambda spectrum: StabilityReport(False, (0,), ("forced for test",)),
-        )
+        real_assemble = cli_mod.assemble
+
+        def shifted(state, basis):
+            # M - 3I: below the lowest excitation energy, so D is indefinite.
+            qh = real_assemble(state, basis)
+            m = qh.m_matrix - 3.0 * np.eye(qh.n_modes)
+            return QuadraticHamiltonian(e3=qh.e3, m_matrix=m, g_matrix=qh.g_matrix)
+
+        monkeypatch.setattr(cli_mod, "assemble", shifted)
         outdir = tmp_path / "out"
         path = write_config(tmp_path, UNIFORM_SPECTRUM, outdir=outdir)
         assert main(["run", path]) == 4
         summary = json.loads((outdir / "summary.json").read_text())
         assert summary["results"]["stable"] is False
-        assert (outdir / "modes.csv").exists()
+        rows = (outdir / "modes.csv").read_text().splitlines()
+        assert rows[0] == "index,re,im"
+        assert len(rows) == 1 + 2 * summary["results"]["n_modes"] == 33
+        assert (outdir / "run_meta.json").exists()
 
 
 def test_console_script_installed():
