@@ -24,7 +24,15 @@ q_m = sum_k s_km xi_k.  The scalar left over after normal ordering is
 
     omega_g = E3 + (sum_m eps_m - tr M) / 2.
 
-D must be positive definite, and the spectrum comes from Colpa's method
+D must be positive definite.  The arithmetic follows the dtype, as
+``grid.spectral_map``'s does.  A real xi (the stationary solution, whose
+imaginary part is zero) gives a real basis and real symmetric M and G; D is
+then positive definite iff A = M + G and B = M - G both are, and the K x K
+form of Shao, Gao & Yang (Linear Algebra Appl. 488, 148 (2016)) applies:
+with A = L_A L_A^T, B = L_B L_B^T and L_B^T L_A = U Sigma V^T, the energies
+are Sigma, u + v = L_A^-T V Sigma^1/2 and u - v = L_A V Sigma^-1/2, and
+u^T u - v^T v = I holds by construction.  Complex M or G (a phased xi, plane
+waves, the transported modes of ``h3_of_t``) take Colpa's 2K method
 (J. H. P. Colpa, Physica A 93, 327 (1978)): with the Cholesky factor
 D = L L^H, the Hermitian matrix L^H sigma L has K positive eigenvalues,
 the quasiparticle energies, and its eigenvectors Y give the symplectic
@@ -32,7 +40,7 @@ columns T = L^-H Y sqrt(eps) directly.  A D that is not positive definite
 (a complex frequency, a negative energy or a zero mode) has no
 quasiparticle spectrum: ``diagonalize`` and ``h3_expectation`` then raise
 ``InstabilityError``, whose ``eigenvalues`` are the 2K eigenvalues of
-sigma D.
+sigma D, whichever path ran.
 """
 
 from __future__ import annotations
@@ -66,15 +74,17 @@ _TAIL_FLOOR = 1e-8
 class PhononBasis:
     """Orthonormal mode functions spanning the subspace orthogonal to xi.
 
-    ``mode_matrix`` is a complex (K, n_points) array, row k the values of
-    xi_k on the condensate's grid; it is the only copy of the modes.
+    ``mode_matrix`` is a (K, n_points) array, row k the values of xi_k on
+    the condensate's grid; it is the only copy of the modes.  Real input is
+    kept as float64 (the basis of a real xi), complex input as complex128.
     """
 
     mode_matrix: np.ndarray
     condensate: ComplexField
 
     def __post_init__(self):
-        phi = np.asarray(self.mode_matrix, dtype=np.complex128)
+        phi = np.asarray(self.mode_matrix)
+        phi = phi.astype(np.complex128 if np.iscomplexobj(phi) else np.float64, copy=False)
         if phi.ndim != 2 or phi.shape[1] != self.grid.n_points:
             raise DimensionMismatchError(
                 f"mode matrix has {phi.shape}, grid expects (K, {self.grid.n_points})"
@@ -95,7 +105,9 @@ class QuadraticHamiltonian:
     """Matrices and scalar defining the phonon-quadratic energy.
 
     M and G are (K, K), K >= 1, with finite entries; M is Hermitian and G
-    symmetric to 1e-10 of their largest entry.
+    symmetric to 1e-10 of their largest entry.  Both are real (float64) when
+    assembled from a real xi and a real basis, and complex otherwise; real
+    (M, G) are diagonalized in the K x K real form (module docstring).
     """
 
     e3: float
@@ -185,18 +197,24 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     With tau the part of xi outside Phi_K, Q = [Phi_K; tau/|tau|], or
     Phi_{K+1} when |tau| <= ``_TAIL_FLOOR``.  One Householder reflector U
     maps c_j = <Q_j, xi> onto e0; rows 1..K of conj(U) Q, projected once off
-    xi, are the modes.  The eigenfunctions of T + V are memoized per grid,
-    potential and K (a few traps at a time), so later bases in the same trap
-    skip the dense ``eigh``; a hit returns the same vectors bit for bit.
+    xi, are the modes.  A xi whose imaginary part is zero gives a float64
+    basis, any other xi a complex128 one.  The eigenfunctions of T + V are
+    memoized per grid, potential and K (a few traps at a time), so later
+    bases in the same trap skip the dense ``eigh``; a hit returns the same
+    vectors bit for bit.
     """
     grid = state.grid
     _check_mode_count(grid, K)
+    xi = state.xi.values
+    real = not xi.imag.any()
+    if real:
+        xi = xi.real
     q = _single_particle_modes(
         grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
-    ).astype(np.complex128)
+    ).astype(np.float64 if real else np.complex128)
 
     dx = grid.dx
-    xi_hat = state.xi.values / np.sqrt(np.vdot(state.xi.values, state.xi.values).real * dx)
+    xi_hat = xi / np.sqrt(np.vdot(xi, xi).real * dx)
     # Projected twice: one pass leaves a part of order eps inside span(Phi_K),
     # which 1/|tau| amplifies (a 6e-10 Gram error at |tau| = 1.9e-6).
     tail = xi_hat - (q[:K] @ xi_hat.conj()).conj() * dx @ q[:K]
@@ -207,12 +225,13 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
 
     c = (q @ xi_hat.conj()).conj() * dx
     v = c.copy()
-    v[0] += np.exp(1j * np.angle(c[0])) * np.linalg.norm(c)
+    v[0] += (c[0] / abs(c[0]) if c[0] else 1.0) * np.linalg.norm(c)
     # U = I - 2 v v^H / |v|^2 sends c to a multiple of e0.  conj(U) Q and the
-    # projection off xi are rank-1 updates, each one in-place BLAS zgeru on q.T.
-    scipy.linalg.blas.zgeru(-2.0 / np.vdot(v, v).real, v @ q, v.conj(), a=q.T, overwrite_a=1)
+    # projection off xi are rank-1 updates, each one in-place BLAS ger on q.T.
+    ger = scipy.linalg.blas.dger if real else scipy.linalg.blas.zgeru
+    ger(-2.0 / np.vdot(v, v).real, v @ q, v.conj(), a=q.T, overwrite_a=1)
     modes = q[1:]
-    scipy.linalg.blas.zgeru(-dx, xi_hat, (modes @ xi_hat.conj()).conj(), a=modes.T, overwrite_a=1)
+    ger(-dx, xi_hat, (modes @ xi_hat.conj()).conj(), a=modes.T, overwrite_a=1)
     return PhononBasis(modes, state.xi)
 
 
@@ -239,11 +258,17 @@ def assemble_from_fields(
     u_tilde: float,
     mu: float,
 ) -> QuadraticHamiltonian:
-    """Assemble (M, G, E3) from raw condensate/potential arrays."""
+    """Assemble (M, G, E3) from raw condensate/potential arrays.
+
+    A xi whose imaginary part is zero is taken as real, so a real basis
+    gives real M and G.
+    """
     grid = basis.grid
     phi = basis.mode_matrix
     if xi_values.shape != (grid.n_points,):
         raise DimensionMismatchError("condensate values do not match basis grid")
+    if not xi_values.imag.any():
+        xi_values = xi_values.real
 
     density = np.abs(xi_values) ** 2
     w = potential_values.real + 2.0 * u_tilde * density - mu
@@ -263,16 +288,18 @@ def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian
     )
 
 
-def _instability(d: np.ndarray) -> InstabilityError:
+def _instability(m_matrix: np.ndarray, g_matrix: np.ndarray) -> InstabilityError:
     """The error for a D that is not positive definite, with sigma D's eigenvalues.
 
-    lambda_min(D) < 0 with all eigenvalues of sigma D real means a negative
-    energy; a non-zero imaginary part means a complex frequency.
+    D is built in complex128 whatever the dtype of (M, G), so real matrices
+    report exactly as their complex cast.  lambda_min(D) < 0 with all
+    eigenvalues of sigma D real means a negative energy; a non-zero
+    imaginary part means a complex frequency.
     """
-    sigma_d = d.copy()
-    sigma_d[d.shape[0] // 2 :] *= -1.0
-    eigenvalues = np.sort(scipy.linalg.eigvals(sigma_d))
+    d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]]).astype(np.complex128)
     lowest = scipy.linalg.eigvalsh(d, subset_by_index=[0, 0])[0]
+    d[m_matrix.shape[0] :] *= -1.0
+    eigenvalues = np.sort(scipy.linalg.eigvals(d))
     return InstabilityError(
         f"D = [[M, G], [G*, M*]] is not positive definite (lambda_min(D) = {lowest:.6g}, "
         f"largest |Im| of sigma D's eigenvalues = {np.max(np.abs(eigenvalues.imag)):.3g}); "
@@ -281,25 +308,22 @@ def _instability(d: np.ndarray) -> InstabilityError:
     )
 
 
-def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
+def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
     """Colpa's Hermitian diagonalization of a positive-definite D.
 
     Factors D = [[M, G], [G*, M*]] = L L^H and diagonalizes the Hermitian
     W = L^H sigma L, sigma = diag(I, -I).  W has exactly K positive
     eigenvalues w, which are the quasiparticle energies; for eigenvectors
     Y of W the columns of T = L^-H Y sqrt(w) are eigenvectors of sigma D
-    with T^H sigma T = I, degenerate clusters included.  Each column's
-    phase makes its largest-|u| entry real and positive.  Returns the
-    energies, or (energies, u, v) with T = (u; v).  Raises
-    ``InstabilityError`` when D is not positive definite (a complex
-    frequency, a negative energy or a zero mode).
+    with T^H sigma T = I, degenerate clusters included.  Returns the
+    energies and T, or None in place of T without ``vectors``.
     """
     k = m_matrix.shape[0]
     d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]])
     try:
         chol = scipy.linalg.cholesky(d, lower=True)
     except scipy.linalg.LinAlgError:
-        raise _instability(d) from None
+        raise _instability(m_matrix, g_matrix) from None
     sigma_chol = chol.copy()
     sigma_chol[k:] *= -1.0
     w = chol.conj().T @ sigma_chol
@@ -310,10 +334,59 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
         energies = scipy.linalg.eigh(w, eigvals_only=True, subset_by_index=upper)
     if energies[0] <= 0.0:
         # Sylvester's law rules this out unless D is numerically singular.
-        raise _instability(d)
+        raise _instability(m_matrix, g_matrix)
+    if not vectors:
+        return energies, None
+    t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
+    return energies, t
+
+
+def _real_form(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
+    """The K x K real form of Shao, Gao & Yang for real symmetric M and G.
+
+    D is positive definite iff A = M + G and B = M - G both are; the energies
+    are the singular values of L_B^T L_A (module docstring), never the
+    eigenvalues of the squared form (M - G)(M + G), which lose half the
+    digits of the lowest.  Returns the energies and T = (u; v), or None in
+    place of T without ``vectors``.
+    """
+    try:
+        chol_a = scipy.linalg.cholesky(m_matrix + g_matrix, lower=True)
+        chol_b = scipy.linalg.cholesky(m_matrix - g_matrix, lower=True)
+    except scipy.linalg.LinAlgError:
+        raise _instability(m_matrix, g_matrix) from None
+    core = chol_b.T @ chol_a
+    if vectors:
+        _, sigma, right_t = scipy.linalg.svd(core)
+    else:
+        sigma = scipy.linalg.svdvals(core)
+    energies = sigma[::-1]
+    if energies[0] <= 0.0:
+        # Two successful Cholesky factors make the core nonsingular, unless
+        # D is numerically singular.
+        raise _instability(m_matrix, g_matrix)
+    if not vectors:
+        return energies, None
+    right = right_t[::-1].T
+    root = np.sqrt(energies)
+    x = scipy.linalg.solve_triangular(chol_a, right * root, lower=True, trans="T")
+    y = chol_a @ (right / root)
+    return energies, 0.5 * np.vstack((x + y, x - y))
+
+
+def _quasiparticles(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
+    """Energies in ascending order, or (energies, u, v), of a positive-definite D.
+
+    Real (M, G) take ``_real_form``, complex ones ``_colpa``.  Each column's
+    phase makes its largest-|u| entry real and positive (for real columns,
+    a sign).  Raises ``InstabilityError`` when D is not positive definite
+    (a complex frequency, a negative energy or a zero mode).
+    """
+    real = np.isrealobj(m_matrix) and np.isrealobj(g_matrix)
+    energies, t = (_real_form if real else _colpa)(m_matrix, g_matrix, vectors)
     if not vectors:
         return energies
-    t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
+    k = m_matrix.shape[0]
     lead = t[np.argmax(np.abs(t[:k]), axis=0), np.arange(k)]
     t /= lead / np.abs(lead)
     return energies, t[:k], t[k:]
@@ -322,16 +395,17 @@ def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
 def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
     """Positive-norm quasiparticle branch of the quadratic Hamiltonian.
 
-    Colpa's method (see the module docstring): one Cholesky factorization
-    of D = [[M, G], [G*, M*]] and one Hermitian ``eigh``, whose upper K
-    eigenpairs give the energies and exactly symplectic columns.  Raises
-    ``InstabilityError``, carrying sigma D's eigenvalues, when D is not
-    positive definite.
+    Real (M, G) take the K x K real form: two Cholesky factorizations and one
+    SVD.  Complex ones take Colpa's method: one Cholesky factorization of
+    D = [[M, G], [G*, M*]] and one Hermitian ``eigh``, whose upper K
+    eigenpairs give the energies.  Both give exactly symplectic columns
+    (see the module docstring).  Raises ``InstabilityError``, carrying
+    sigma D's eigenvalues, when D is not positive definite.
     """
     k = qh.n_modes
     if basis.K != k:
         raise DimensionMismatchError("basis size does not match Hamiltonian")
-    energies, u, v = _colpa(qh.m_matrix, qh.g_matrix)
+    energies, u, v = _quasiparticles(qh.m_matrix, qh.g_matrix)
     c_matrix = u
     s_matrix = v.conj()
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
@@ -360,9 +434,10 @@ def check_stability(spectrum: QuasiparticleSpectrum) -> StabilityReport:
 def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
     """Energy omega_g + sum_m n_m eps_m for given quasiparticle occupations.
 
-    The energies come from the eigenvalues of Colpa's Hermitian matrix
-    alone.  Raises ``InstabilityError`` when D is not positive definite,
-    since the quasiparticle occupations are then not defined.
+    The energies alone are computed: the singular values of the real form
+    for real (M, G), the eigenvalues of Colpa's Hermitian matrix otherwise.
+    Raises ``InstabilityError`` when D is not positive definite, since the
+    quasiparticle occupations are then not defined.
     """
     occ = np.asarray(occupations, dtype=float)
     if occ.shape != (qh.n_modes,):
@@ -371,6 +446,6 @@ def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
         )
     if not np.all((occ >= 0) & (occ < np.inf)):  # also catches NaN
         raise ConfigurationError("occupations must be finite and non-negative")
-    energies = _colpa(qh.m_matrix, qh.g_matrix, vectors=False)
+    energies = _quasiparticles(qh.m_matrix, qh.g_matrix, vectors=False)
     omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
     return omega_g + float(occ @ energies)

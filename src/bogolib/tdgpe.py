@@ -241,7 +241,9 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             raise ConfigurationError("initial basis is not orthonormal")
         if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
             raise ConfigurationError("initial basis is not orthogonal to the condensate")
-        phi = np.ascontiguousarray(to_spectral(grid, phi))
+        # A real basis is transformed, then copied to complex128: _transport
+        # writes the rotated modes into this block in place.
+        phi = np.ascontiguousarray(to_spectral(grid, phi), dtype=np.complex128)
         phase = 1.0
     u_eff = u_tilde if evolution == "gpe" else 0.0
     half = np.exp(-0.5j * dt * grid.kinetic_eigs)

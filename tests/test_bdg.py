@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -92,7 +94,7 @@ class TestBuildPhononBasis:
         rho = outside(state.xi.values)
         out = outside(build_phonon_basis(state, K).mode_matrix)
         if np.vdot(rho, rho) > 0:
-            out -= np.outer(out @ rho.conj() / np.vdot(rho, rho), rho)
+            out = out - np.outer(out @ rho.conj() / np.vdot(rho, rho), rho)
         assert np.max(np.sqrt(np.sum(np.abs(out) ** 2, axis=1) * grid.dx)) < 1e-10
 
     def test_projector_reproduced_on_retained_subspace(self, trap_states):
@@ -123,6 +125,21 @@ class TestBuildPhononBasis:
         with pytest.raises(ConfigurationError):
             plane_wave_basis(uniform_state, 5)
 
+    def test_real_condensate_gives_real_basis_and_phased_one_complex(self, trap_states):
+        # A global phase changes neither the subspace nor the spectrum, only
+        # the arithmetic: xi e^{i theta} takes the complex basis and Colpa.
+        state = trap_states[10.0]
+        phased = dataclasses.replace(
+            state, xi=ComplexField(state.xi.values * np.exp(0.4j), state.grid)
+        )
+        energies = {}
+        for s, dtype in ((state, np.float64), (phased, np.complex128)):
+            basis = build_phonon_basis(s, 24)
+            qh = assemble(s, basis)
+            assert basis.mode_matrix.dtype == qh.m_matrix.dtype == qh.g_matrix.dtype == dtype
+            energies[dtype] = diagonalize(qh, basis).energies
+        np.testing.assert_allclose(energies[np.complex128], energies[np.float64], rtol=1e-12)
+
     def test_basis_is_one_checked_array(self, uniform_state):
         xi = uniform_state.xi
         phi = build_phonon_basis(uniform_state, 4).mode_matrix
@@ -131,7 +148,8 @@ class TestBuildPhononBasis:
         with pytest.raises(DimensionMismatchError):
             PhononBasis(phi[:, :-1], xi)
         basis = PhononBasis(phi[:3].real, xi)
-        assert basis.K == 3 and basis.mode_matrix.dtype == np.complex128
+        assert basis.K == 3 and basis.mode_matrix.dtype == np.float64
+        assert PhononBasis(phi[:3] * 1j, xi).mode_matrix.dtype == np.complex128
         with pytest.raises(AttributeError):
             basis.K = 4
 
@@ -437,6 +455,57 @@ class TestStability:
             # real parts are round-off is itself round-off.
             assert np.max(np.abs(np.sort(eigenvalues.real) - exact.real)) < 1e-12
             assert np.max(np.abs(np.sort(eigenvalues.imag) - exact.imag)) < 1e-12
+
+
+class TestRealForm:
+    """Real (M, G) in the K x K real form against their complex cast, which runs Colpa."""
+
+    @pytest.mark.parametrize("n_points", [128, 1024])
+    @pytest.mark.parametrize("u_tilde", [0.0, 2.0, 10.0])
+    def test_matches_complex_colpa(self, n_points, u_tilde):
+        state = _trap_state(n_points, u_tilde=u_tilde)
+        for K in (16, 64):
+            basis = build_phonon_basis(state, K)
+            qh = assemble(state, basis)
+            assert qh.m_matrix.dtype == qh.g_matrix.dtype == np.float64
+            cast = QuadraticHamiltonian(
+                qh.e3, qh.m_matrix.astype(np.complex128), qh.g_matrix.astype(np.complex128)
+            )
+            real, ref = diagonalize(qh, basis), diagonalize(cast, basis)
+            np.testing.assert_allclose(real.energies, ref.energies, rtol=1e-12, atol=0.0)
+            assert real.omega_g == pytest.approx(ref.omega_g, rel=1e-12)
+            for name in ("c_matrix", "s_matrix", "p_waves", "q_waves"):
+                assert getattr(real, name).dtype == np.float64
+                assert np.max(np.abs(getattr(real, name) - getattr(ref, name))) < 1e-10, name
+            u, v = real.c_matrix, real.s_matrix
+            assert np.max(np.abs(u.T @ u - v.T @ v - np.eye(K))) < 1e-13
+            occ = np.arange(K) % 3
+            assert h3_expectation(qh, occ) == pytest.approx(h3_expectation(cast, occ), rel=1e-12)
+
+    @pytest.mark.parametrize("case", ["negative", "trap_mu_plus_3"])
+    def test_indefinite_real_d_reports_as_its_complex_cast(self, case, trap_states, uniform_state):
+        if case == "negative":
+            basis = plane_wave_basis(uniform_state, 2)
+            m, g = np.diag([-1.0, 2.0]), np.zeros((2, 2))
+        else:
+            state = trap_states[10.0]
+            basis = build_phonon_basis(state, 16)
+            qh = assemble_from_fields(
+                state.xi.values, basis, state.potential.values, state.u_tilde, state.mu + 3.0
+            )
+            m, g = qh.m_matrix, qh.g_matrix
+        assert m.dtype == g.dtype == np.float64
+        errors = []
+        for mm, gg in ((m, g), (m.astype(np.complex128), g.astype(np.complex128))):
+            qh = QuadraticHamiltonian(e3=0.0, m_matrix=mm, g_matrix=gg)
+            with pytest.raises(InstabilityError) as from_diag:
+                diagonalize(qh, basis)
+            with pytest.raises(InstabilityError) as from_h3:
+                h3_expectation(qh, np.zeros(basis.K))
+            errors += [from_diag.value, from_h3.value]
+        for error in errors[1:]:
+            assert str(error) == str(errors[0])
+            np.testing.assert_array_equal(error.eigenvalues, errors[0].eigenvalues)
 
 
 class TestH3Expectation:

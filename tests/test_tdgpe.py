@@ -444,6 +444,30 @@ class TestSpectralLoop:
             bound = 1e-11 * np.sum(np.abs(weights)) / traj.dt
             assert np.max(np.abs(traj.xi_dot_t[i] - xi_dot)) <= bound
 
+    @pytest.mark.parametrize(
+        ("boundary", "n_points"), [("box", 128), ("box", 320), ("periodic", 128)]
+    )
+    def test_real_basis_matches_its_complex_cast(self, boundary, n_points):
+        # The real basis of a stationary xi is transformed by the real DST-I
+        # or rfft side of the grid and copied to complex128; its cast takes
+        # the complex transform.  Neither may write into the caller's basis.
+        grid = build_grid(n_points, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        basis = build_phonon_basis(state, 12)
+        assert basis.mode_matrix.dtype == np.float64
+        before = basis.mode_matrix.copy()
+        cast = PhononBasis(basis.mode_matrix.astype(np.complex128), state.xi)
+        ramp = TrapRamp(grid, 1.0, 1.3, t0=0.0, t1=0.2)
+        real, ref = (
+            propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=50, basis=b)
+            for b in (basis, cast)
+        )
+        assert np.array_equal(basis.mode_matrix, before)
+        for a, b in zip(real.modes_t, ref.modes_t, strict=True):
+            assert np.max(np.abs(a.mode_matrix - b.mode_matrix)) <= 1e-14
+        assert np.max(np.abs(real.gram_t - ref.gram_t)) <= 1e-14
+        assert np.max(np.abs(real.overlap_t - ref.overlap_t)) <= 1e-14
+
     def test_initial_snapshot_is_the_input(self, ramp_states):
         state = ramp_states["box"]
         traj = propagate(state, t_final=0.01, dt=1e-3, stride=5)
