@@ -191,6 +191,15 @@ def _check_mode_count(grid: Grid1D, K) -> None:
         raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
 
 
+def _real_if_exact(values: np.ndarray) -> np.ndarray:
+    """``values.real`` when its imaginary part is all zero, else ``values``.
+
+    The one place that picks real arithmetic: a real xi gives a float64
+    basis and real (M, G), and everything downstream follows the dtype.
+    """
+    return values if values.imag.any() else values.real
+
+
 def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     """K orthonormal modes of span(xi, Phi_K) orthogonal to xi (see the module docstring).
 
@@ -205,10 +214,8 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     """
     grid = state.grid
     _check_mode_count(grid, K)
-    xi = state.xi.values
-    real = not xi.imag.any()
-    if real:
-        xi = xi.real
+    xi = _real_if_exact(state.xi.values)
+    real = np.isrealobj(xi)
     q = _single_particle_modes(
         grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
     ).astype(np.float64 if real else np.complex128)
@@ -267,8 +274,7 @@ def assemble_from_fields(
     phi = basis.mode_matrix
     if xi_values.shape != (grid.n_points,):
         raise DimensionMismatchError("condensate values do not match basis grid")
-    if not xi_values.imag.any():
-        xi_values = xi_values.real
+    xi_values = _real_if_exact(xi_values)
 
     density = np.abs(xi_values) ** 2
     w = potential_values.real + 2.0 * u_tilde * density - mu
@@ -347,8 +353,10 @@ def _real_form(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
     D is positive definite iff A = M + G and B = M - G both are; the energies
     are the singular values of L_B^T L_A (module docstring), never the
     eigenvalues of the squared form (M - G)(M + G), which lose half the
-    digits of the lowest.  Returns the energies and T = (u; v), or None in
-    place of T without ``vectors``.
+    digits of the lowest.  ``_colpa`` would take float64 (M, G) as well; this
+    form replaces its 2K x 2K Cholesky and ``eigh`` with K x K factors.
+    Returns the energies and T = (u; v), or None in place of T without
+    ``vectors``.
     """
     try:
         chol_a = scipy.linalg.cholesky(m_matrix + g_matrix, lower=True)

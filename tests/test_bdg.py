@@ -482,6 +482,24 @@ class TestRealForm:
             occ = np.arange(K) % 3
             assert h3_expectation(qh, occ) == pytest.approx(h3_expectation(cast, occ), rel=1e-12)
 
+    def test_real_matrices_never_build_the_2k_form(self, trap_states, monkeypatch):
+        # Real (M, G) take the K x K form, so Colpa's 2K x 2K D is never
+        # factored; their complex cast still is.
+        state = trap_states[10.0]
+        basis = build_phonon_basis(state, 16)
+        qh = assemble(state, basis)
+        cast = QuadraticHamiltonian(
+            qh.e3, qh.m_matrix.astype(np.complex128), qh.g_matrix.astype(np.complex128)
+        )
+        calls = []
+        colpa = bdg._colpa
+        monkeypatch.setattr(bdg, "_colpa", lambda *args: calls.append(1) or colpa(*args))
+        diagonalize(qh, basis)
+        h3_expectation(qh, np.zeros(16))
+        assert calls == []
+        diagonalize(cast, basis)
+        assert calls == [1]
+
     @pytest.mark.parametrize("case", ["negative", "trap_mu_plus_3"])
     def test_indefinite_real_d_reports_as_its_complex_cast(self, case, trap_states, uniform_state):
         if case == "negative":
