@@ -17,14 +17,16 @@ Mode functions ride along via
     dxi_k/dt = xi_k <xi, dxi/dt> - xi <dxi/dt, xi_k>,
 
 which parallel-transports the complement of xi, times the common phase
-exp(int <xi, dxi/dt> dt).  Each step moves the modes by the rank-1 unitary
-map that carries the complement of xi(t) exactly onto that of xi(t + dt)
-(the parallel-transport gauge of Jia, An, Wang & Lin, J. Chem. Theory
-Comput. 14, 5645 (2018)): second order in dt, built from the two condensate
-values alone, and made of inner products, which S keeps, so the modes are
-carried as spectral coefficients too.  Orthonormality and orthogonality to
-the condensate hold to round-off; both are measured at every snapshot, not
-repaired.
+exp(int <xi, dxi/dt> dt).  Each step contributes the rank-1 unitary map that
+carries the complement of xi(t) exactly onto that of xi(t + dt) (the
+parallel-transport gauge of Jia, An, Wang & Lin, J. Chem. Theory Comput. 14,
+5645 (2018)): second order in dt, built from the two condensate values alone,
+and made of inner products, which S keeps, so the modes are carried as
+spectral coefficients too.  The loop only records the condensate of each
+step; every 32 steps, and at each snapshot, the maps of the steps since are
+composed in compact WY form and applied to the modes at once, by two matrix
+products.  Orthonormality and orthogonality to the condensate hold to
+round-off; both are measured at every snapshot, not repaired.
 
 The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
@@ -187,33 +189,51 @@ def _fd_first_derivative_weights(offsets: np.ndarray) -> np.ndarray:
     return scipy.linalg.solve(vander, rhs)
 
 
-def _transport(phi: np.ndarray, psi0: np.ndarray, psi1: np.ndarray, dx: float) -> complex:
-    """Carry the rows of phi from the complement of psi0 to that of psi1, in place.
+# Steps per flush of the mode transport; a snapshot also flushes.  A step then
+# costs (2K + s) n complex multiply-adds plus a share of a fixed overhead.  On
+# a 2-vCPU VM (1 BLAS thread) s = 16 / 32 / 64 added 10.2 / 6.6 / 7.2 us a step
+# at n = 128, K = 24; s = 64 gained nothing consistent at n = 256, and s = 16
+# cost 1.4x s = 32 at n = 1024, K = 256 (2 threads).
+_WINDOW = 32
 
-    With e0, e1 the normalized psi0, psi1, a = <e0, e1> and s w = e1 - a e0
-    (||w|| = 1), the rank-1 map phi -> phi + <w, phi> ((|a| - 1) w - s (a/|a|) e0)
-    is unitary and sends w to a vector orthogonal to e1; when s = 0 (a step
-    that only multiplies xi by a phase) phi stays.  The common phase a/|a|
-    is returned, not applied, so the caller keeps it as one scalar.
-    Normalizing first matters: a norm error of order eps in psi0 or psi1,
-    divided by s ~ dt, would tilt w toward e0.  The update is one BLAS zgeru on
-    phi.T, in place only for a writable C-contiguous complex128 phi (else TypeError).
+
+def _transport_block(phi: np.ndarray, window: np.ndarray, dx: float) -> tuple[np.ndarray, complex]:
+    """Carry the rows of phi along the condensate values in the rows of window.
+
+    Step m maps the complement of e_m (row m, normalized) exactly onto that of
+    e_{m+1}: with a_m = <e_m, e_{m+1}> and s_m w_m = e_{m+1} - a_m e_m
+    (||w_m|| = 1), the rank-1 map phi -> phi + <w_m, phi> z_m,
+    z_m = (|a_m| - 1) w_m - s_m (a_m/|a_m|) e_m, is unitary and sends w_m to a
+    vector orthogonal to e_{m+1}; a step that only multiplies the condensate by
+    a phase (s_m = 0) has w_m = z_m = 0.  Normalizing first matters: a norm
+    error of order eps, divided by s ~ dt, would tilt w toward e_m; and r_m is
+    formed explicitly, since 1 - |a_m|^2 from a Gram matrix would cancel.
+
+    The maps compose to I + W^H T Z (compact WY form, Schreiber & Van Loan,
+    SIAM J. Sci. Stat. Comput. 10, 53 (1989)), with T upper triangular and
+    T^-1 = I/dx - striu(Z W^H) (Joffrain et al., ACM TOMS 32, 169 (2006)), so
+    the block moves by two GEMMs and one triangular solve.  Returns the carried
+    block and the common phase prod a_m/|a_m|, not applied; neither argument
+    is written.
     """
-    e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
-    e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
-    a = np.vdot(e0, e1) * dx
-    r = e1 - a * e0
-    s = np.sqrt(np.vdot(r, r).real * dx)
-    phase = a / abs(a)
-    if s > 0.0:
-        w = r / s
-        target = phi.T
-        # zgeru would write even into a read-only block, so that is refused first.
-        if not phi.flags.writeable or scipy.linalg.blas.zgeru(
-            1.0, (abs(a) - 1.0) * w - s * phase * e0, phi @ w.conj() * dx, a=target, overwrite_a=1
-        ) is not target:
-            raise TypeError("mode block must be a writable C-contiguous complex128 array")
-    return phase
+    # A NaN or inf in the window reaches the block without a warning; the
+    # snapshot guard in _evolve names it.
+    with np.errstate(invalid="ignore"):
+        e = window * (1.0 / (np.linalg.norm(window, axis=1) * np.sqrt(dx)))[:, None]
+        a = np.einsum("ij,ij->i", e[:-1].conj(), e[1:]) * dx
+        r = e[1:] - a[:, None] * e[:-1]
+        s = np.linalg.norm(r, axis=1) * np.sqrt(dx)
+        phase = a / np.abs(a)
+        w = r * (1.0 / np.where(s == 0.0, 1.0, s))[:, None]
+        z = (np.abs(a) - 1.0)[:, None] * w - (s * phase)[:, None] * e[:-1]
+        w_h = w.conj().T
+        t_inv = -(z @ w_h)
+        np.fill_diagonal(t_inv, 1.0 / dx)
+    # x = (phi W^H) T solves x T^-1 = phi W^H from the right.  ztrsm reads only
+    # the upper triangle of t_inv, so its strict lower part is left as it is,
+    # and it makes no finiteness check, so a NaN reaches the modes.
+    x = scipy.linalg.blas.ztrsm(1.0, t_inv, phi @ w_h, side=1)
+    return phi + x @ z, np.prod(phase)
 
 
 def _step_count(t_final: float, dt: float) -> int:
@@ -234,6 +254,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
     dx = grid.dx
+    spec = to_spectral(grid, xi0)
     if basis is not None:
         _check_same_grid(basis.grid, grid)
         phi = basis.mode_matrix
@@ -241,22 +262,23 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             raise ConfigurationError("initial basis is not orthonormal")
         if np.max(np.abs(phi.conj() @ xi0 * dx)) > 1e-8:
             raise ConfigurationError("initial basis is not orthogonal to the condensate")
-        # A real basis is transformed, then copied to complex128: _transport
-        # writes the rotated modes into this block in place.
-        phi = np.ascontiguousarray(to_spectral(grid, phi), dtype=np.complex128)
+        phi = to_spectral(grid, phi)
         phase = 1.0
+        # Row 0 holds the spectral condensate at the last flush, rows 1..fill
+        # the steps since; the modes move only when the window is flushed.
+        window = np.empty((_WINDOW + 1, grid.n_points), dtype=np.complex128)
+        window[0], fill = spec, 0
     u_eff = u_tilde if evolution == "gpe" else 0.0
     half = np.exp(-0.5j * dt * grid.kinetic_eigs)
     full, back = half * half, half.conj()
 
     snapshot_steps = sorted({*range(0, n_steps + 1, stride), n_steps})
-    # Fine-step window [lo, lo+4] carrying each snapshot's derivative stencil.
+    # Fine steps [lo, lo+4] carrying each snapshot's derivative stencil.
     stencil_lo = {j: min(max(j - 2, 0), n_steps - 4) for j in snapshot_steps}
     needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
     states: dict[int, np.ndarray] = {0: xi0.copy()}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t, h2_t = [], [], [], [], [], [], [], []
-    spec = to_spectral(grid, xi0)
     chi = half * spec
     for j in range(n_steps + 1):
         if j > 0:
@@ -264,10 +286,16 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
             w = pot((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
             chi = full * to_spectral(grid, mid * np.exp(-1j * dt * w))
             if basis is not None:
-                spec_prev, spec = spec, back * chi
-                phase *= _transport(phi, spec_prev, spec, dx)
+                fill += 1
+                np.multiply(back, chi, out=window[fill])
             if j in needed:
-                states[j] = from_spectral(grid, back * chi)
+                # from_spectral returns a new array, never a view of the window.
+                states[j] = from_spectral(grid, back * chi if basis is None else window[fill])
+            if basis is not None and (fill == _WINDOW or j in stencil_lo):
+                phi, block_phase = _transport_block(phi, window[: fill + 1], dx)
+                phase *= block_phase
+                window[0] = window[fill]
+                fill = 0
         if j not in stencil_lo:
             continue
         t = j * dt
@@ -340,7 +368,8 @@ def propagate(
     snapshot (``xi_dot_t``), differenced from the fine steps around it.
 
     With a ``basis`` (orthonormal modes orthogonal to the initial
-    condensate), each split step also parallel-transports the modes; the
+    condensate), the modes are parallel-transported along the split steps,
+    in blocks of steps (see the module docstring); the
     trajectory then carries their snapshots (``modes_t``) and, per
     snapshot, the Gram deviation (``gram_t``) and the condensate overlap
     (``overlap_t``).  The condensate snapshots do not depend on ``basis``.

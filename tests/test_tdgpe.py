@@ -17,7 +17,7 @@ from bogolib.tdgpe import (
     TrapQuench,
     TrapRamp,
     _fd_first_derivative_weights,
-    _transport,
+    _transport_block,
     center_of_mass,
     h3_of_t,
     hr_diagnostic,
@@ -383,27 +383,41 @@ class TestPropagateModes:
         assert overlap <= 1e-12
 
     def test_non_unitary_transport_triggers_integrator_error(self, trap_state_u1, monkeypatch):
-        real = tdgpe._transport
+        real = tdgpe._transport_block
 
-        def leaky(phi, psi0, psi1, dx):
-            phase = real(phi, psi0, psi1, dx)
-            phi *= 1.0 + 1e-7
-            return phase
+        def leaky(phi, window, dx):
+            phi, phase = real(phi, window, dx)
+            return phi * (1.0 + 1e-7), phase
 
-        monkeypatch.setattr(tdgpe, "_transport", leaky)
+        monkeypatch.setattr(tdgpe, "_transport_block", leaky)
         basis = build_phonon_basis(trap_state_u1, 8)
         with pytest.raises(IntegratorError):
             propagate(trap_state_u1, t_final=1.0, dt=1e-3, stride=100, basis=basis)
 
+    def test_nan_motion_with_modes_raises_integrator_error(self):
+        # The window fills with NaN and is flushed at step 32, before the
+        # snapshot at step 40: the flush must carry the NaN into the modes,
+        # not stop on a finite check, and the snapshot guard then raises.
+        grid = build_grid(64, 8.0, "box")
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=1.0)
+        v0 = harmonic_potential(grid).values.real
+
+        def nan_trap(t):
+            return v0 if t <= 0.0 else np.full_like(v0, np.nan)
+
+        with pytest.raises(IntegratorError, match="norm drifted to nan"):
+            propagate(state, t_final=0.04, dt=1e-3, potential_of_t=nan_trap, stride=40,
+                      basis=build_phonon_basis(state, 4))
+
     def test_nan_modes_trigger_integrator_error(self, trap_state_u1, monkeypatch):
-        real = tdgpe._transport
+        real = tdgpe._transport_block
 
-        def poisoned(phi, psi0, psi1, dx):
-            phase = real(phi, psi0, psi1, dx)
+        def poisoned(phi, window, dx):
+            phi, phase = real(phi, window, dx)
             phi[0, 0] = np.nan
-            return phase
+            return phi, phase
 
-        monkeypatch.setattr(tdgpe, "_transport", poisoned)
+        monkeypatch.setattr(tdgpe, "_transport_block", poisoned)
         basis = build_phonon_basis(trap_state_u1, 4)
         with pytest.raises(IntegratorError, match="orthonormality drift nan"):
             propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=5, basis=basis)
@@ -422,16 +436,19 @@ def ramp_states(trap_grid):
 class TestSpectralLoop:
     @pytest.mark.parametrize("boundary", ["box", "periodic"])
     @pytest.mark.parametrize("evolution", ["gpe", "linear"])
-    def test_matches_four_transform_reference(self, ramp_states, boundary, evolution):
+    @pytest.mark.parametrize(("stride", "n_snapshots"), [(50, 5), (45, 6)])
+    def test_matches_four_transform_reference(self, ramp_states, boundary, evolution, stride,
+                                              n_snapshots):
         # A ramp changes V within every step, so sampling it anywhere but
-        # at t + dt/2 would show far above round-off.
+        # at t + dt/2 would show far above round-off.  Stride 45 puts
+        # snapshots, and the last of the 200 steps, off the 32-step windows.
         state = ramp_states[boundary]
         ramp = TrapRamp(state.grid, 1.0, 1.3, t0=0.0, t1=0.2)
         basis = build_phonon_basis(state, 12)
-        traj = propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=50,
+        traj = propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=stride,
                          evolution=evolution, basis=basis)
         states, modes = reference_one_pass(traj, basis)
-        assert traj.n_snapshots == len(modes) == 5
+        assert traj.n_snapshots == len(modes) == n_snapshots
         for i, t in enumerate(traj.times):
             j = int(round(t / traj.dt))
             assert np.max(np.abs(traj.xi_t[i].values - states[j])) <= 1e-11
@@ -448,9 +465,9 @@ class TestSpectralLoop:
         ("boundary", "n_points"), [("box", 128), ("box", 320), ("periodic", 128)]
     )
     def test_real_basis_matches_its_complex_cast(self, boundary, n_points):
-        # The real basis of a stationary xi is transformed by the real DST-I
-        # or rfft side of the grid and copied to complex128; its cast takes
-        # the complex transform.  Neither may write into the caller's basis.
+        # On a box the real basis of a stationary xi takes the real DST-I and
+        # becomes complex only at the first flush; its cast takes the complex
+        # transform.  Neither may write into the caller's basis.
         grid = build_grid(n_points, 16.0, boundary)
         state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
         basis = build_phonon_basis(state, 12)
@@ -474,77 +491,68 @@ class TestSpectralLoop:
         assert np.array_equal(traj.xi_t[0].values, state.xi.values)
 
 
-def random_transport_case(seed, n=64, K=6, dx=0.1):
-    """Two nearby states and a mode block orthonormal to the first."""
+def random_window(seed, steps, n=64, K=6, dx=0.25):
+    """steps + 1 nearby condensate values and a mode block orthonormal to the first."""
     rng = np.random.default_rng(seed)
-    psi0 = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    psi1 = psi0 + 0.05 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    e0 = psi0 / np.sqrt(np.vdot(psi0, psi0).real * dx)
+    noise = rng.standard_normal((steps + 1, n)) + 1j * rng.standard_normal((steps + 1, n))
+    window = np.cumsum(noise * np.r_[1.0, np.full(steps, 0.05)][:, None], axis=0)
+    e0 = window[0] / np.sqrt(np.vdot(window[0], window[0]).real * dx)
     raw = rng.standard_normal((K, n)) + 1j * rng.standard_normal((K, n))
     raw -= np.outer(raw @ e0.conj() * dx, e0)
     q, _ = np.linalg.qr(raw.T)
-    phi = np.ascontiguousarray(q.T / np.sqrt(dx))
-    return phi, psi0, psi1, dx
+    return q.T / np.sqrt(dx), window, dx
 
 
-class TestTransport:
-    def test_updates_callers_block_in_place_as_the_outer_product_formula(self):
-        phi, psi0, psi1, dx = random_transport_case(0)
-        expected, expected_phase = reference_transport(phi, psi0, psi1, dx)
-        before = phi.copy()
-        phase = _transport(phi, psi0, psi1, dx)
-        assert np.max(np.abs(phi - before)) > 1e-3
-        assert np.max(np.abs(phi - expected)) < 1e-13
-        assert abs(phase - expected_phase) < 1e-15
+def chained_reference(phi, window, dx):
+    """reference_transport applied once per consecutive pair of window rows."""
+    phase = 1.0
+    for psi0, psi1 in zip(window[:-1], window[1:]):
+        phi, step_phase = reference_transport(phi, psi0, psi1, dx)
+        phase *= step_phase
+    return phi, phase
 
-    @pytest.mark.parametrize("layout", ["fortran", "real", "complex64", "read-only"])
-    def test_guard_fires_on_a_block_it_cannot_update_in_place(self, layout):
-        phi, psi0, psi1, dx = random_transport_case(1)
-        bad = {
-            "fortran": np.asfortranarray(phi),
-            "real": np.ascontiguousarray(phi.real),
-            "complex64": phi.astype(np.complex64),
-            "read-only": phi,
-        }[layout]
-        bad.flags.writeable = layout != "read-only"
-        before = bad.copy()
-        with pytest.raises(TypeError):
-            _transport(bad, psi0, psi1, dx)
-        assert np.array_equal(bad, before)
 
-    def test_phase_only_step_leaves_block_untouched(self):
-        # Exactly representable values, so that s comes out exactly 0: a
-        # rounded phase would leave an s of order eps and a round-off update.
-        dx = 0.25
-        psi0 = np.zeros(64, dtype=complex)
-        psi0[0] = 2.0
-        phi = random_transport_case(2)[0]
-        phi[:, 0] = 0.0
-        before = phi.copy()
-        phase = _transport(phi, psi0, 1j * psi0, dx)
-        assert np.array_equal(phi, before)
-        assert phase == 1j
+class TestTransportBlock:
+    @pytest.mark.parametrize("steps", [1, 2, 31, 32, 33])
+    def test_matches_the_per_step_maps_and_writes_neither_input(self, steps):
+        phi, window, dx = random_window(steps, steps)
+        phi_in, window_in = phi.copy(), window.copy()
+        carried, phase = _transport_block(phi, window, dx)
+        expected, expected_phase = chained_reference(phi, window, dx)
+        assert np.max(np.abs(carried - expected)) <= 1e-13
+        assert abs(phase - expected_phase) <= 1e-13
+        assert np.array_equal(phi, phi_in) and np.array_equal(window, window_in)
 
-    def test_complement_of_e0_goes_to_complement_of_e1(self):
-        phi, psi0, psi1, dx = random_transport_case(3)
-        e1 = psi1 / np.sqrt(np.vdot(psi1, psi1).real * dx)
-        assert np.max(np.abs(phi.conj() @ e1 * dx)) > 1e-3
-        _transport(phi, psi0, psi1, dx)
-        assert np.max(np.abs(phi.conj() @ e1 * dx)) < 1e-13
-        assert np.max(np.abs(phi.conj() @ phi.T * dx - np.eye(phi.shape[0]))) < 1e-13
+    @pytest.mark.parametrize("steps", [2, 31, 32, 33])
+    def test_phase_only_step_inside_a_window(self, steps):
+        # Rows m and m + 1 are 2 delta_0 and 2i delta_0: at dx = 1/4 every
+        # value is exact, so s_m comes out exactly 0 (a rounded phase would
+        # leave an s of order eps), and that step must contribute nothing.
+        phi, window, dx = random_window(100 + steps, steps)
+        m = steps // 2
+        window[m:m + 2] = 0.0
+        window[m, 0], window[m + 1, 0] = 2.0, 2.0j
+        carried, phase = _transport_block(phi, window, dx)
+        expected, expected_phase = chained_reference(phi, window, dx)
+        assert np.all(np.isfinite(carried))
+        assert np.max(np.abs(carried - expected)) <= 1e-13
+        assert abs(phase - expected_phase) <= 1e-13
 
-    def test_loop_passes_contiguous_complex_blocks(self, trap_state_u1, monkeypatch):
-        seen = []
-        real = tdgpe._transport
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_row_propagates_into_the_block(self, bad):
+        phi, window, dx = random_window(300, 32)
+        window[5, 3] = bad
+        carried, _ = _transport_block(phi, window, dx)
+        assert not np.all(np.isfinite(carried))
 
-        def spy(phi, psi0, psi1, dx):
-            seen.append(phi.flags.c_contiguous and phi.dtype == np.complex128)
-            return real(phi, psi0, psi1, dx)
-
-        monkeypatch.setattr(tdgpe, "_transport", spy)
-        propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=5,
-                  basis=build_phonon_basis(trap_state_u1, 4))
-        assert len(seen) == 10 and all(seen)
+    @pytest.mark.parametrize("steps", [1, 32, 33])
+    def test_complement_of_e0_goes_to_complement_of_the_last_row(self, steps):
+        phi, window, dx = random_window(200 + steps, steps)
+        e_last = window[-1] / np.sqrt(np.vdot(window[-1], window[-1]).real * dx)
+        assert np.max(np.abs(phi.conj() @ e_last * dx)) > 1e-3
+        carried, _ = _transport_block(phi, window, dx)
+        assert np.max(np.abs(carried.conj() @ e_last * dx)) < 1e-13
+        assert np.max(np.abs(carried.conj() @ carried.T * dx - np.eye(phi.shape[0]))) < 1e-13
 
 
 def rate_form(traj, i):
