@@ -25,12 +25,12 @@ q_m = sum_k s_km xi_k.  The scalar left over after normal ordering is
     omega_g = E3 + (sum_m eps_m - tr M) / 2.
 
 D must be positive definite.  The arithmetic follows the dtype, as
-``grid.spectral_map``'s does.  A real xi (the stationary solution, whose
-imaginary part is zero) gives a real basis and real symmetric M and G; D is
-then positive definite iff A = M + G and B = M - G both are, and the K x K
-form of Shao, Gao & Yang (Linear Algebra Appl. 488, 148 (2016)) applies:
-with A = L_A L_A^T, B = L_B L_B^T and L_B^T L_A = U Sigma V^T, the energies
-are Sigma, u + v = L_A^-T V Sigma^1/2 and u - v = L_A V Sigma^-1/2, and
+``grid.spectral_map``'s does.  A float64 xi (the stationary solution) gives
+a real basis and real symmetric M and G; D is then positive definite iff
+A = M + G and B = M - G both are, and the K x K form of Shao, Gao & Yang
+(Linear Algebra Appl. 488, 148 (2016)) applies: with A = L_A L_A^T,
+B = L_B L_B^T and L_B^T L_A = U Sigma V^T, the energies are Sigma,
+u + v = L_A^-T V Sigma^1/2 and u - v = L_A V Sigma^-1/2, and
 u^T u - v^T v = I holds by construction.  Complex M or G (a phased xi, plane
 waves, the transported modes of ``h3_of_t``) take Colpa's 2K method
 (J. H. P. Colpa, Physica A 93, 327 (1978)): with the Cholesky factor
@@ -76,7 +76,7 @@ class PhononBasis:
 
     ``mode_matrix`` is a (K, n_points) array, row k the values of xi_k on
     the condensate's grid; it is the only copy of the modes.  Real input is
-    kept as float64 (the basis of a real xi), complex input as complex128.
+    kept as float64 (the basis of a float64 xi), complex input as complex128.
     """
 
     mode_matrix: np.ndarray
@@ -106,7 +106,7 @@ class QuadraticHamiltonian:
 
     M and G are (K, K), K >= 1, with finite entries; M is Hermitian and G
     symmetric to 1e-10 of their largest entry.  Both are real (float64) when
-    assembled from a real xi and a real basis, and complex otherwise; real
+    assembled from a float64 xi and a real basis, and complex otherwise; real
     (M, G) are diagonalized in the K x K real form (module docstring).
     """
 
@@ -191,33 +191,23 @@ def _check_mode_count(grid: Grid1D, K) -> None:
         raise ConfigurationError(f"K must be an integer in [1, {grid.n_points - 2}], got {K!r}")
 
 
-def _real_if_exact(values: np.ndarray) -> np.ndarray:
-    """``values.real`` when its imaginary part is all zero, else ``values``.
-
-    The one place that picks real arithmetic: a real xi gives a float64
-    basis and real (M, G), and everything downstream follows the dtype.
-    """
-    return values if values.imag.any() else values.real
-
-
 def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     """K orthonormal modes of span(xi, Phi_K) orthogonal to xi (see the module docstring).
 
     With tau the part of xi outside Phi_K, Q = [Phi_K; tau/|tau|], or
     Phi_{K+1} when |tau| <= ``_TAIL_FLOOR``.  One Householder reflector U
     maps c_j = <Q_j, xi> onto e0; rows 1..K of conj(U) Q, projected once off
-    xi, are the modes.  A xi whose imaginary part is zero gives a float64
-    basis, any other xi a complex128 one.  The eigenfunctions of T + V are
-    memoized per grid, potential and K (a few traps at a time), so later
-    bases in the same trap skip the dense ``eigh``; a hit returns the same
-    vectors bit for bit.
+    xi, are the modes.  A float64 xi gives a float64 basis, a complex128 xi
+    a complex128 one.  The eigenfunctions of T + V are memoized per grid,
+    potential and K (a few traps at a time), so later bases in the same trap
+    skip the dense ``eigh``; a hit returns the same vectors bit for bit.
     """
     grid = state.grid
     _check_mode_count(grid, K)
-    xi = _real_if_exact(state.xi.values)
+    xi = state.xi.values
     real = np.isrealobj(xi)
     q = _single_particle_modes(
-        grid.n_points, grid.length, grid.boundary, K, state.potential.values.real.tobytes()
+        grid.n_points, grid.length, grid.boundary, K, state.potential.values.tobytes()
     ).astype(np.float64 if real else np.complex128)
 
     dx = grid.dx
@@ -267,17 +257,15 @@ def assemble_from_fields(
 ) -> QuadraticHamiltonian:
     """Assemble (M, G, E3) from raw condensate/potential arrays.
 
-    A xi whose imaginary part is zero is taken as real, so a real basis
-    gives real M and G.
+    A float64 xi and a real basis give real M and G.
     """
     grid = basis.grid
     phi = basis.mode_matrix
     if xi_values.shape != (grid.n_points,):
         raise DimensionMismatchError("condensate values do not match basis grid")
-    xi_values = _real_if_exact(xi_values)
 
     density = np.abs(xi_values) ** 2
-    w = potential_values.real + 2.0 * u_tilde * density - mu
+    w = potential_values + 2.0 * u_tilde * density - mu
     op_phi = _kinetic_values(grid, phi) + w * phi
     m_matrix = (phi.conj() @ op_phi.T) * grid.dx
 
@@ -290,7 +278,7 @@ def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian
     """Quadratic Hamiltonian of a converged stationary state."""
     _check_same_grid(basis.grid, state.grid)
     return assemble_from_fields(
-        state.xi.values, basis, state.potential.values.real, state.u_tilde, state.mu
+        state.xi.values, basis, state.potential.values, state.u_tilde, state.mu
     )
 
 

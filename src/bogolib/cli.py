@@ -429,8 +429,8 @@ def run_stationary(config: dict, out: OutputWriter) -> dict:
         ["x", "potential", "xi_re", "xi_im", "density"],
         zip(
             grid.points.tolist(),
-            state.potential.values.real.tolist(),
-            state.xi.values.real.tolist(),
+            state.potential.values.tolist(),
+            state.xi.values.tolist(),
             state.xi.values.imag.tolist(),
             (np.abs(state.xi.values) ** 2).tolist(),
         ),
@@ -590,7 +590,7 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
         ["x", "re", "im"],
         zip(
             grid.points.tolist(),
-            report.dxi_dN.values.real.tolist(),
+            report.dxi_dN.values.tolist(),
             report.dxi_dN.values.imag.tolist(),
         ),
     )

@@ -89,7 +89,7 @@ class SolveTrace:
 
 @dataclass(frozen=True, eq=False)
 class CondensateState:
-    """Converged condensate orbital with its defining parameters."""
+    """Converged condensate orbital with its defining parameters; the potential is float64."""
 
     xi: ComplexField
     n_particles: float
@@ -100,6 +100,10 @@ class CondensateState:
     # h1 of the start, after each descent step, and of the result (diagnostic).
     h1_history: np.ndarray = field(repr=False, default=None)
     trace: SolveTrace | None = field(repr=False, default=None)
+
+    def __post_init__(self):
+        if np.iscomplexobj(self.potential.values):
+            raise ConfigurationError("a state's potential must be float64, not complex-typed")
 
     @property
     def grid(self) -> Grid1D:
@@ -143,7 +147,7 @@ def default_tol(grid: Grid1D) -> float:
 
 
 def zero_potential(grid: Grid1D) -> ComplexField:
-    return ComplexField(np.zeros(grid.n_points, dtype=np.complex128), grid)
+    return ComplexField(np.zeros(grid.n_points), grid)
 
 
 def _harmonic_values(grid: Grid1D, omega: float) -> np.ndarray:
@@ -160,16 +164,17 @@ def _harmonic_values(grid: Grid1D, omega: float) -> np.ndarray:
 
 def harmonic_potential(grid: Grid1D, omega: float = 1.0) -> ComplexField:
     """V(x) = omega^2 (x - L/2)^2 / 2, centered in the domain."""
-    return ComplexField(_harmonic_values(grid, omega) + 0j, grid)
+    return ComplexField(_harmonic_values(grid, omega), grid)
 
 
 def _check_potential(grid: Grid1D, potential: ComplexField) -> np.ndarray:
+    """The potential as one contiguous float64 array; the one place a field turns real."""
     _check_same_grid(potential.grid, grid)
     if not np.all(np.isfinite(potential.values)):
         raise ConfigurationError("potential must be finite")
-    if np.max(np.abs(potential.values.imag)) > 0:
+    if np.any(potential.values.imag):
         raise ConfigurationError("potential must be real-valued")
-    return potential.values.real
+    return np.ascontiguousarray(potential.values.real)
 
 
 def _gp_operator(grid, v_real, u_tilde, psi, t_psi=None):
@@ -332,7 +337,8 @@ def solve_stationary(
     ------
     ConfigurationError
         For a u_tilde that is negative or not finite, a potential that is
-        complex or not finite, or n_particles that is not finite and positive.
+        not finite or has a non-zero imaginary part, or n_particles that is
+        not finite and positive.
     ConvergenceError
         If the residual target is not reached; carries the residual of the
         last kept iterate, and the message says why Newton stopped (its
@@ -421,10 +427,10 @@ def solve_stationary(
         )
 
     return CondensateState(
-        xi=ComplexField(psi.astype(np.complex128), grid),
+        xi=ComplexField(psi, grid),
         n_particles=float(n_particles),
         u_tilde=float(u_tilde),
-        potential=potential,
+        potential=ComplexField(v_real, grid),
         mu=mu,
         residual=residual,
         h1_history=np.asarray(history),
@@ -439,7 +445,7 @@ def solve_stationary(
 
 
 def _state_operator(state: CondensateState, values: np.ndarray) -> tuple:
-    return _gp_operator(state.grid, state.potential.values.real, state.u_tilde, values)
+    return _gp_operator(state.grid, state.potential.values, state.u_tilde, values)
 
 
 def chemical_potential(state: CondensateState) -> float:
@@ -453,15 +459,8 @@ def energy_functional_h1(state: CondensateState) -> float:
 
 
 def gpe_residual(state: CondensateState) -> float:
-    """L2 norm of (-1/2 d^2/dx^2 + V + u|xi|^2 - mu) xi.
-
-    A real orbital is evaluated as a real array, as the solver does: the
-    transform of its zero imaginary part would add round-off of the size
-    of the grid's residual floor.
-    """
+    """L2 norm of (-1/2 d^2/dx^2 + V + u|xi|^2 - mu) xi."""
     values = state.xi.values
-    if not np.any(values.imag):
-        values = values.real
     r = _state_operator(state, values)[0] - state.mu * values
     return float(np.sqrt(np.vdot(r, r).real * state.grid.dx))
 

@@ -108,13 +108,20 @@ def build_grid(n_points: int, length: float, boundary: str = "periodic") -> Grid
 
 @dataclass(frozen=True, eq=False)
 class ComplexField:
-    """Complex amplitudes sampled on a :class:`Grid1D`."""
+    """Amplitudes sampled on a :class:`Grid1D`, in the dtype they were made with.
+
+    Real input is kept as float64 (a stationary orbital, a potential), complex
+    input as complex128 (an evolved condensate), as ``bdg.PhononBasis`` keeps
+    its modes.  The name stays from when every field was complex.
+    """
 
     values: np.ndarray
     grid: Grid1D
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.complex128)
+        values = np.asarray(self.values)
+        dtype = np.complex128 if np.iscomplexobj(values) else np.float64
+        values = values.astype(dtype, copy=False)
         if values.shape != (self.grid.n_points,):
             raise DimensionMismatchError(
                 f"field has {values.shape}, grid expects ({self.grid.n_points},)"

@@ -80,27 +80,28 @@ def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
     """N-derivatives (dxi/dN, dmu/dN) of a solved state, by one bordered solve.
 
     The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
-    ``state`` must hold the real orbital that ``solve_stationary``
-    returns; a phased (complex) orbital raises ``ConfigurationError``.
-    The solve is the Newton step's conjugate-gradient solve, and raises
-    its ``ConvergenceError`` when that fails.
+    ``state`` must hold the float64 orbital that ``solve_stationary``
+    returns; a complex-typed orbital raises ``ConfigurationError``, even
+    one whose imaginary part is zero.  The solve is the Newton step's
+    conjugate-gradient solve, and raises its ``ConvergenceError`` when
+    that fails.
     """
-    if np.any(state.xi.values.imag != 0.0):
+    psi = state.xi.values
+    if np.iscomplexobj(psi):
         raise ConfigurationError(
-            "the exact N-derivative needs the real orbital solve_stationary "
-            "returns; this state's xi has a non-zero imaginary part"
+            "the exact N-derivative needs the float64 orbital solve_stationary "
+            "returns; this state's xi is complex-typed, whatever its imaginary part"
         )
     grid = state.grid
-    psi = state.xi.values.real
     dpsi, dmu, _ = _solve_linearized(
         grid,
-        state.potential.values.real,
+        state.potential.values,
         state.u_tilde,
         psi,
         state.mu,
         -(state.u_tilde / state.n_particles) * psi**3,
     )
-    return ComplexField(dpsi.astype(np.complex128), grid), dmu
+    return ComplexField(dpsi, grid), dmu
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +167,7 @@ def modified_amplitudes(
 
     Returns two (K, n_points) arrays, row m the values of f_m and g_m.
     """
-    r = np.asarray(r, dtype=np.complex128)
+    r = np.asarray(r)
     if r.shape[0] != spectrum.c_matrix.shape[0]:
         raise DimensionMismatchError(
             f"r has {r.shape[0]} entries, transformation expects "

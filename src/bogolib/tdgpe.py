@@ -254,6 +254,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
     dx = grid.dx
+    xi0 = xi0.astype(np.complex128)  # the motion is complex from the first step
     spec = to_spectral(grid, xi0)
     if basis is not None:
         _check_same_grid(basis.grid, grid)
@@ -277,7 +278,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     stencil_lo = {j: min(max(j - 2, 0), n_steps - 4) for j in snapshot_steps}
     needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
-    states: dict[int, np.ndarray] = {0: xi0.copy()}
+    states: dict[int, np.ndarray] = {0: xi0}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t, h2_t = [], [], [], [], [], [], [], []
     chi = half * spec
     for j in range(n_steps + 1):
@@ -385,7 +386,7 @@ def propagate(
         drifts beyond 1e-6, or is NaN, at any stored time.
     """
     if potential_of_t is None:
-        potential_of_t = StaticPotential(initial.potential.values.real.copy())
+        potential_of_t = StaticPotential(initial.potential.values)
     return _evolve(initial.xi.values, initial.grid, initial.u_tilde, initial.n_particles,
                    potential_of_t, t_final, dt, stride, evolution, basis)
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -411,3 +412,12 @@ class TestShippedConfigs:
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
         assert main(["run", str(config)]) == 0
         assert (outdir / "summary.json").exists()
+
+    def test_number_shift_writes_real_coefficients(self, tmp_path, monkeypatch):
+        # r and dxi/dN are real; no imaginary entry may read -0.0.
+        config = next(p for p in SHIPPED_CONFIGS if p.stem == "number_shift_trap")
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(tmp_path))
+        assert main(["run", str(config)]) == 0
+        for name in ("r_coefficients.csv", "dxi_dn.csv"):
+            with open(tmp_path / name, newline="") as handle:
+                assert {row["im"] for row in csv.DictReader(handle)} == {"0.0"}, name

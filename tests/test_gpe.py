@@ -96,6 +96,21 @@ class TestSolveStationary:
             assert abs(norm(state.xi) - 1.0) < 1e-12
             assert np.max(np.abs(state.xi.values.imag)) < 1e-12
 
+    def test_orbital_and_potential_are_contiguous_float64(self, trap_grid):
+        # A complex-typed potential with zero imaginary part is converted once;
+        # the state holds that float64 copy and the same orbital bit for bit,
+        # and no state can be built on the complex-typed one.
+        real = harmonic_potential(trap_grid)
+        cast = ComplexField(real.values + 0j, trap_grid)
+        states = [solve_stationary(trap_grid, v, u_tilde=1.0) for v in (real, cast)]
+        for state in states:
+            for values in (state.xi.values, state.potential.values):
+                assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert states[1].potential is not cast
+        np.testing.assert_array_equal(states[1].xi.values, states[0].xi.values)
+        with pytest.raises(ConfigurationError, match="potential must be float64"):
+            dataclasses.replace(states[0], potential=cast)
+
     def test_energy_monotone_during_relaxation(self, trap_states):
         for state in trap_states.values():
             drops = np.diff(state.h1_history[:-1])
@@ -142,12 +157,14 @@ class TestSolveStationary:
             ({"tol": float("nan")}, "tol must be positive"),
             ({"potential_entry": float("nan")}, "potential must be finite"),
             ({"potential_entry": float("inf")}, "potential must be finite"),
+            ({"potential_entry": 1.0 + 1e-3j}, "potential must be real-valued"),
         ],
     )
     def test_non_finite_inputs_rejected(self, trap_grid, bad, match):
         kwargs = {"u_tilde": 1.0, "n_particles": 10.0, "tol": None}
-        values = harmonic_potential(trap_grid).values.copy()
-        values[7] = bad.pop("potential_entry", values[7])
+        values = harmonic_potential(trap_grid).values
+        entry = bad.pop("potential_entry", values[7])
+        values = np.where(np.arange(values.size) == 7, entry, values)  # complex for a complex entry
         kwargs.update(bad)
         with pytest.raises(ConfigurationError, match=match):
             solve_stationary(trap_grid, ComplexField(values, trap_grid), **kwargs)

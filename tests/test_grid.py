@@ -302,3 +302,25 @@ class TestInnerProduct:
         grid = build_grid(16, 3.0, "box")
         f, g = random_field(grid, rng), random_field(grid, rng)
         assert inner_product(f, g) == pytest.approx(np.conj(inner_product(g, f)), abs=1e-12)
+
+
+class TestComplexField:
+    @pytest.mark.parametrize(
+        "values, dtype",
+        [
+            (np.ones(16), np.float64),
+            (np.ones(16, dtype=np.float32), np.float64),
+            (np.arange(16), np.float64),
+            (list(range(16)), np.float64),
+            (np.ones(16) + 0j, np.complex128),
+            (np.ones(16, dtype=np.complex64), np.complex128),
+        ],
+    )
+    def test_keeps_real_or_complex_dtype(self, values, dtype):
+        field = ComplexField(values, build_grid(16, 1.0, "box"))
+        assert field.values.dtype == dtype
+        np.testing.assert_array_equal(field.values, np.asarray(values))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(DimensionMismatchError):
+            ComplexField(np.ones(15), build_grid(16, 1.0, "box"))

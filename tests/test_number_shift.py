@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -83,7 +85,7 @@ class TestExactDxiDN:
     def test_real_and_gauge_fixed(self, trap_setup):
         _, state, basis, _ = trap_setup
         dxi, _ = exact_dxi_dN(state)
-        assert np.all(dxi.values.imag == 0.0)
+        assert dxi.values.dtype == np.float64
         fix = phase_fix_and_r(state, basis, dxi)
         assert fix.r0_raw == 0.0
         assert abs(inner_product(state.xi, dxi)) < 1e-12
@@ -115,6 +117,12 @@ class TestExactDxiDN:
         )
         with pytest.raises(ConfigurationError, match="imaginary"):
             build_report(problem, phased, basis, spectrum)
+
+    def test_complex_typed_orbital_rejected_with_zero_imaginary_part(self, trap_setup):
+        _, state, _, _ = trap_setup
+        cast = dataclasses.replace(state, xi=ComplexField(state.xi.values + 0j, state.grid))
+        with pytest.raises(ConfigurationError, match="complex-typed"):
+            exact_dxi_dN(cast)
 
     def test_state_of_another_coupling_rejected(self, trap_setup, trap_problem):
         _, state, basis, spectrum = trap_setup
