@@ -20,7 +20,6 @@ from .bdg import (
     check_stability,
     diagonalize,
     h3_expectation,
-    plane_wave_basis,
 )
 from .errors import (
     BogolibError,

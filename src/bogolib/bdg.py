@@ -24,23 +24,19 @@ q_m = sum_k s_km xi_k.  The scalar left over after normal ordering is
 
     omega_g = E3 + (sum_m eps_m - tr M) / 2.
 
-D must be positive definite.  The arithmetic follows the dtype, as
-``grid.spectral_map``'s does.  A float64 xi (the stationary solution) gives
-a real basis and real symmetric M and G; D is then positive definite iff
-A = M + G and B = M - G both are, and the K x K form of Shao, Gao & Yang
-(Linear Algebra Appl. 488, 148 (2016)) applies: with A = L_A L_A^T,
-B = L_B L_B^T and L_B^T L_A = U Sigma V^T, the energies are Sigma,
-u + v = L_A^-T V Sigma^1/2 and u - v = L_A V Sigma^-1/2, and
-u^T u - v^T v = I holds by construction.  Complex M or G (a phased xi, plane
-waves, the transported modes of ``h3_of_t``) take Colpa's 2K method
-(J. H. P. Colpa, Physica A 93, 327 (1978)): with the Cholesky factor
-D = L L^H, the Hermitian matrix L^H sigma L has K positive eigenvalues,
-the quasiparticle energies, and its eigenvectors Y give the symplectic
-columns T = L^-H Y sqrt(eps) directly.  A D that is not positive definite
-(a complex frequency, a negative energy or a zero mode) has no
-quasiparticle spectrum: ``diagonalize`` and ``h3_expectation`` then raise
+D must be positive definite, and M and G real.  A float64 xi (the
+stationary solution) gives a real basis and real symmetric M and G; D is
+then positive definite iff A = M + G and B = M - G both are, and the K x K
+form of Shao, Gao & Yang (Linear Algebra Appl. 488, 148 (2016)) applies:
+with A = L_A L_A^T, B = L_B L_B^T and L_B^T L_A = U Sigma V^T, the
+energies are Sigma, u + v = L_A^-T V Sigma^1/2 and u - v = L_A V Sigma^-1/2,
+and u^T u - v^T v = I holds by construction.  ``diagonalize`` and
+``h3_expectation`` refuse complex-typed M or G (a phased xi, the
+transported modes of ``tdgpe.h3_of_t``) with ``ConfigurationError``.  A D
+that is not positive definite (a complex frequency, a negative energy or a
+zero mode) has no quasiparticle spectrum: they then raise
 ``InstabilityError``, whose ``eigenvalues`` are the 2K eigenvalues of
-sigma D, whichever path ran.
+sigma D.
 """
 
 from __future__ import annotations
@@ -106,8 +102,10 @@ class QuadraticHamiltonian:
 
     M and G are (K, K), K >= 1, with finite entries; M is Hermitian and G
     symmetric to 1e-10 of their largest entry.  Both are real (float64) when
-    assembled from a float64 xi and a real basis, and complex otherwise; real
-    (M, G) are diagonalized in the K x K real form (module docstring).
+    assembled from a float64 xi and a real basis, and complex otherwise (a
+    phased xi, the transported modes of ``tdgpe.h3_of_t``).  Only real ones
+    have a quasiparticle spectrum here: ``diagonalize`` and
+    ``h3_expectation`` refuse complex ones (module docstring).
     """
 
     e3: float
@@ -232,22 +230,6 @@ def build_phonon_basis(state: CondensateState, K: int) -> PhononBasis:
     return PhononBasis(modes, state.xi)
 
 
-def plane_wave_basis(state: CondensateState, K: int) -> PhononBasis:
-    """Complex plane waves exp(ikx)/sqrt(L) in +-k pairs (periodic grids).
-
-    K must be even so every retained +k mode keeps its -k partner; the
-    anomalous coupling closes only on complete pairs.
-    """
-    grid = state.grid
-    if grid.boundary != "periodic":
-        raise ConfigurationError("plane-wave basis requires a periodic grid")
-    _check_mode_count(grid, K)
-    if K % 2:
-        raise ConfigurationError("K must be even to keep +-k pairs together")
-    ks = np.outer(np.arange(1, K // 2 + 1), [1, -1]).ravel() * (2.0 * np.pi / grid.length)
-    return PhononBasis(np.exp(1j * np.outer(ks, grid.points)) / np.sqrt(grid.length), state.xi)
-
-
 def assemble_from_fields(
     xi_values: np.ndarray,
     basis: PhononBasis,
@@ -285,12 +267,11 @@ def assemble(state: CondensateState, basis: PhononBasis) -> QuadraticHamiltonian
 def _instability(m_matrix: np.ndarray, g_matrix: np.ndarray) -> InstabilityError:
     """The error for a D that is not positive definite, with sigma D's eigenvalues.
 
-    D is built in complex128 whatever the dtype of (M, G), so real matrices
-    report exactly as their complex cast.  lambda_min(D) < 0 with all
-    eigenvalues of sigma D real means a negative energy; a non-zero
-    imaginary part means a complex frequency.
+    D is formed in complex128, the dtype of sigma D's eigenvalues.
+    lambda_min(D) < 0 with all eigenvalues of sigma D real means a negative
+    energy; a non-zero imaginary part means a complex frequency.
     """
-    d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]]).astype(np.complex128)
+    d = np.block([[m_matrix, g_matrix], [g_matrix, m_matrix]]).astype(np.complex128)
     lowest = scipy.linalg.eigvalsh(d, subset_by_index=[0, 0])[0]
     d[m_matrix.shape[0] :] *= -1.0
     eigenvalues = np.sort(scipy.linalg.eigvals(d))
@@ -302,50 +283,21 @@ def _instability(m_matrix: np.ndarray, g_matrix: np.ndarray) -> InstabilityError
     )
 
 
-def _colpa(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
-    """Colpa's Hermitian diagonalization of a positive-definite D.
+def _quasiparticles(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
+    """Energies in ascending order, or (energies, u, v), of a positive-definite D.
 
-    Factors D = [[M, G], [G*, M*]] = L L^H and diagonalizes the Hermitian
-    W = L^H sigma L, sigma = diag(I, -I).  W has exactly K positive
-    eigenvalues w, which are the quasiparticle energies; for eigenvectors
-    Y of W the columns of T = L^-H Y sqrt(w) are eigenvectors of sigma D
-    with T^H sigma T = I, degenerate clusters included.  Returns the
-    energies and T, or None in place of T without ``vectors``.
+    The K x K real form (module docstring): the energies are the singular
+    values of L_B^T L_A, never the eigenvalues of the squared form
+    (M - G)(M + G), which lose half the digits of the lowest.  Each
+    column's sign makes its largest-|u| entry positive.  Raises
+    ``ConfigurationError`` for complex-typed M or G, and
+    ``InstabilityError`` when D is not positive definite.
     """
-    k = m_matrix.shape[0]
-    d = np.block([[m_matrix, g_matrix], [g_matrix.conj(), m_matrix.conj()]])
-    try:
-        chol = scipy.linalg.cholesky(d, lower=True)
-    except scipy.linalg.LinAlgError:
-        raise _instability(m_matrix, g_matrix) from None
-    sigma_chol = chol.copy()
-    sigma_chol[k:] *= -1.0
-    w = chol.conj().T @ sigma_chol
-    upper = [k, 2 * k - 1]
-    if vectors:
-        energies, y = scipy.linalg.eigh(w, subset_by_index=upper)
-    else:
-        energies = scipy.linalg.eigh(w, eigvals_only=True, subset_by_index=upper)
-    if energies[0] <= 0.0:
-        # Sylvester's law rules this out unless D is numerically singular.
-        raise _instability(m_matrix, g_matrix)
-    if not vectors:
-        return energies, None
-    t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
-    return energies, t
-
-
-def _real_form(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
-    """The K x K real form of Shao, Gao & Yang for real symmetric M and G.
-
-    D is positive definite iff A = M + G and B = M - G both are; the energies
-    are the singular values of L_B^T L_A (module docstring), never the
-    eigenvalues of the squared form (M - G)(M + G), which lose half the
-    digits of the lowest.  ``_colpa`` would take float64 (M, G) as well; this
-    form replaces its 2K x 2K Cholesky and ``eigh`` with K x K factors.
-    Returns the energies and T = (u; v), or None in place of T without
-    ``vectors``.
-    """
+    if np.iscomplexobj(m_matrix) or np.iscomplexobj(g_matrix):
+        raise ConfigurationError(
+            f"the quasiparticle spectrum needs real M and G, got {m_matrix.dtype} "
+            f"and {g_matrix.dtype}"
+        )
     try:
         chol_a = scipy.linalg.cholesky(m_matrix + g_matrix, lower=True)
         chol_b = scipy.linalg.cholesky(m_matrix - g_matrix, lower=True)
@@ -362,49 +314,29 @@ def _real_form(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool):
         # D is numerically singular.
         raise _instability(m_matrix, g_matrix)
     if not vectors:
-        return energies, None
+        return energies
     right = right_t[::-1].T
     root = np.sqrt(energies)
     x = scipy.linalg.solve_triangular(chol_a, right * root, lower=True, trans="T")
     y = chol_a @ (right / root)
-    return energies, 0.5 * np.vstack((x + y, x - y))
-
-
-def _quasiparticles(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = True):
-    """Energies in ascending order, or (energies, u, v), of a positive-definite D.
-
-    Real (M, G) take ``_real_form``, complex ones ``_colpa``.  Each column's
-    phase makes its largest-|u| entry real and positive (for real columns,
-    a sign).  Raises ``InstabilityError`` when D is not positive definite
-    (a complex frequency, a negative energy or a zero mode).
-    """
-    real = np.isrealobj(m_matrix) and np.isrealobj(g_matrix)
-    energies, t = (_real_form if real else _colpa)(m_matrix, g_matrix, vectors)
-    if not vectors:
-        return energies
-    k = m_matrix.shape[0]
-    lead = t[np.argmax(np.abs(t[:k]), axis=0), np.arange(k)]
-    t /= lead / np.abs(lead)
-    return energies, t[:k], t[k:]
+    u, v = 0.5 * (x + y), 0.5 * (x - y)
+    sign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])
+    return energies, u * sign, v * sign
 
 
 def diagonalize(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
     """Positive-norm quasiparticle branch of the quadratic Hamiltonian.
 
-    Real (M, G) take the K x K real form: two Cholesky factorizations and one
-    SVD.  Complex ones take Colpa's method: one Cholesky factorization of
-    D = [[M, G], [G*, M*]] and one Hermitian ``eigh``, whose upper K
-    eigenpairs give the energies.  Both give exactly symplectic columns
-    (see the module docstring).  Raises ``InstabilityError``, carrying
-    sigma D's eigenvalues, when D is not positive definite.
+    The K x K real form: two Cholesky factorizations and one SVD, giving
+    exactly symplectic real columns c = u and s = v (module docstring).
+    Raises ``ConfigurationError`` for complex-typed M or G, and
+    ``InstabilityError``, carrying sigma D's eigenvalues, when D is not
+    positive definite.
     """
-    k = qh.n_modes
-    if basis.K != k:
+    if basis.K != qh.n_modes:
         raise DimensionMismatchError("basis size does not match Hamiltonian")
-    energies, u, v = _quasiparticles(qh.m_matrix, qh.g_matrix)
-    c_matrix = u
-    s_matrix = v.conj()
-    omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
+    energies, c_matrix, s_matrix = _quasiparticles(qh.m_matrix, qh.g_matrix)
+    omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix))
     return QuasiparticleSpectrum(
         energies=energies,
         c_matrix=c_matrix,
@@ -430,9 +362,9 @@ def check_stability(spectrum: QuasiparticleSpectrum) -> StabilityReport:
 def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
     """Energy omega_g + sum_m n_m eps_m for given quasiparticle occupations.
 
-    The energies alone are computed: the singular values of the real form
-    for real (M, G), the eigenvalues of Colpa's Hermitian matrix otherwise.
-    Raises ``InstabilityError`` when D is not positive definite, since the
+    The energies alone are computed, as the singular values of the real
+    form.  Raises ``ConfigurationError`` for complex-typed M or G, and
+    ``InstabilityError`` when D is not positive definite, since the
     quasiparticle occupations are then not defined.
     """
     occ = np.asarray(occupations, dtype=float)
@@ -443,5 +375,5 @@ def h3_expectation(qh: QuadraticHamiltonian, occupations) -> float:
     if not np.all((occ >= 0) & (occ < np.inf)):  # also catches NaN
         raise ConfigurationError("occupations must be finite and non-negative")
     energies = _quasiparticles(qh.m_matrix, qh.g_matrix, vectors=False)
-    omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix).real)
+    omega_g = qh.e3 + 0.5 * float(np.sum(energies) - np.trace(qh.m_matrix))
     return omega_g + float(occ @ energies)

@@ -31,7 +31,7 @@ import numpy as np
 from .bdg import PhononBasis, QuasiparticleSpectrum
 from .errors import ConfigurationError, DimensionMismatchError, TruncationError
 from .gpe import CondensateState, _solve_linearized, solve_stationary
-from .grid import ComplexField, Grid1D, inner_product
+from .grid import ComplexField, Grid1D, _check_same_grid, inner_product
 
 
 @dataclass(frozen=True)
@@ -133,7 +133,9 @@ def phase_fix_and_r(
     ``_TRUNCATION_TOL`` raises ``TruncationError``.
     """
     n = state.n_particles
-    c0 = inner_product(state.xi, dxi)
+    _check_same_grid(state.grid, dxi.grid)
+    # Not ``inner_product``, whose Python complex would make a real dxi complex.
+    c0 = np.vdot(state.xi.values, dxi.values) * state.grid.dx
     ck = basis.mode_matrix.conj() @ dxi.values * basis.grid.dx
     r0_raw = -n * c0.imag
     r = n * np.conj(ck)

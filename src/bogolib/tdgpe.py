@@ -411,6 +411,8 @@ def h3_of_t(traj: Trajectory) -> list[QuadraticHamiltonian]:
     """Quadratic-energy coefficients in the instantaneous mode basis, one per snapshot.
 
     Each is assembled at the trajectory's u_tilde and snapshot ``mu_t``.
+    The condensate is complex, so G is (and M once the modes move):
+    ``bdg.diagonalize`` refuses these; no output of the library reads them.
     """
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")

@@ -1,0 +1,58 @@
+"""Slow, readable references that the library itself does not need.
+
+``colpa`` diagonalizes (M, G) of any dtype by Colpa's 2K method
+(J. H. P. Colpa, Physica A 93, 327 (1978)), the reference for the K x K
+real form of ``bogolib.bdg``.  ``plane_wave_basis`` gives the complex
+exp(ikx) modes of a uniform gas on a periodic grid.
+"""
+
+import numpy as np
+import scipy.linalg
+
+from bogolib.bdg import PhononBasis, QuadraticHamiltonian, QuasiparticleSpectrum
+
+
+def colpa(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
+    """Positive-norm quasiparticle branch by Colpa's Hermitian diagonalization.
+
+    Factors D = [[M, G], [G*, M*]] = L L^H and diagonalizes the Hermitian
+    W = L^H sigma L, sigma = diag(I, -I).  W has exactly K positive
+    eigenvalues, the quasiparticle energies; for eigenvectors Y of W the
+    columns of T = L^-H Y sqrt(eps) are eigenvectors of sigma D with
+    T^H sigma T = I.  Each column's phase makes its largest-|u| entry real
+    and positive, as ``bdg.diagonalize`` does by a sign.  A D that is not
+    positive definite raises ``scipy.linalg.LinAlgError`` from the Cholesky
+    factorization.
+    """
+    m, g = qh.m_matrix, qh.g_matrix
+    k = qh.n_modes
+    d = np.block([[m, g], [g.conj(), m.conj()]]).astype(np.complex128)
+    chol = scipy.linalg.cholesky(d, lower=True)
+    sigma_chol = chol.copy()
+    sigma_chol[k:] *= -1.0
+    energies, y = scipy.linalg.eigh(chol.conj().T @ sigma_chol, subset_by_index=[k, 2 * k - 1])
+    assert energies[0] > 0.0
+    t = scipy.linalg.solve_triangular(chol, y, lower=True, trans="C") * np.sqrt(energies)
+    lead = t[np.argmax(np.abs(t[:k]), axis=0), np.arange(k)]
+    t /= lead / np.abs(lead)
+    c_matrix, s_matrix = t[:k], t[k:].conj()
+    return QuasiparticleSpectrum(
+        energies=energies,
+        c_matrix=c_matrix,
+        s_matrix=s_matrix,
+        p_waves=c_matrix.T @ basis.mode_matrix,
+        q_waves=s_matrix.T @ basis.mode_matrix,
+        omega_g=qh.e3 + 0.5 * float(np.sum(energies) - np.trace(m).real),
+    )
+
+
+def plane_wave_basis(state, K: int) -> PhononBasis:
+    """Complex plane waves exp(ikx)/sqrt(L) in +-k pairs, k = 2 pi j / L, j = 1..K/2.
+
+    K must be even so every retained +k mode keeps its -k partner; the
+    anomalous coupling closes only on complete pairs.
+    """
+    grid = state.grid
+    assert grid.boundary == "periodic" and K % 2 == 0
+    ks = np.outer(np.arange(1, K // 2 + 1), [1, -1]).ravel() * (2.0 * np.pi / grid.length)
+    return PhononBasis(np.exp(1j * np.outer(ks, grid.points)) / np.sqrt(grid.length), state.xi)

@@ -15,7 +15,6 @@ from bogolib.bdg import (
     check_stability,
     diagonalize,
     h3_expectation,
-    plane_wave_basis,
 )
 from bogolib.errors import ConfigurationError, DimensionMismatchError, InstabilityError
 from bogolib.gpe import h2_coefficients, harmonic_potential, solve_stationary, zero_potential
@@ -23,14 +22,15 @@ from bogolib.grid import ComplexField, _kinetic_values, build_grid, kinetic_matr
 from bogolib.homogeneous import bogoliubov_dispersion
 
 from conftest import orthonormal_modes
+from oracles import colpa, plane_wave_basis
 
 TWO_PI = 2.0 * np.pi
 
 # (M, G) of TestStability's synthetic Hamiltonians: a negative energy and
 # a pair of complex frequencies +-i sqrt(3).
 _INDEFINITE = (
-    (np.diag([-1.0, 2.0]).astype(complex), np.zeros((2, 2), dtype=complex)),
-    (np.diag([1.0, 1.0]).astype(complex), np.array([[0.0, 2.0], [2.0, 0.0]], dtype=complex)),
+    (np.diag([-1.0, 2.0]), np.zeros((2, 2))),
+    (np.diag([1.0, 1.0]), np.array([[0.0, 2.0], [2.0, 0.0]])),
 )
 
 
@@ -117,27 +117,22 @@ class TestBuildPhononBasis:
         for K in (2.5, 4.0, "4"):
             with pytest.raises(ConfigurationError, match="integer"):
                 build_phonon_basis(uniform_state, K)
-            with pytest.raises(ConfigurationError, match="integer"):
-                plane_wave_basis(uniform_state, K)
         assert build_phonon_basis(uniform_state, np.int64(4)).K == 4
-
-    def test_plane_wave_basis_requires_even_k(self, uniform_state):
-        with pytest.raises(ConfigurationError):
-            plane_wave_basis(uniform_state, 5)
 
     def test_real_condensate_gives_real_basis_and_phased_one_complex(self, trap_states):
         # A global phase changes neither the subspace nor the spectrum, only
-        # the arithmetic: xi e^{i theta} takes the complex basis and Colpa.
+        # the arithmetic: xi e^{i theta} takes the complex basis, whose
+        # (M, G) only the Colpa oracle diagonalizes.
         state = trap_states[10.0]
         phased = dataclasses.replace(
             state, xi=ComplexField(state.xi.values * np.exp(0.4j), state.grid)
         )
         energies = {}
-        for s, dtype in ((state, np.float64), (phased, np.complex128)):
+        for s, dtype, method in ((state, np.float64, diagonalize), (phased, np.complex128, colpa)):
             basis = build_phonon_basis(s, 24)
             qh = assemble(s, basis)
             assert basis.mode_matrix.dtype == qh.m_matrix.dtype == qh.g_matrix.dtype == dtype
-            energies[dtype] = diagonalize(qh, basis).energies
+            energies[dtype] = method(qh, basis).energies
         np.testing.assert_allclose(energies[np.complex128], energies[np.float64], rtol=1e-12)
 
     def test_basis_is_one_checked_array(self, uniform_state):
@@ -318,7 +313,8 @@ class TestDiagonalize:
         # The uniform eigen-basis has degenerate +-k pairs, which must come
         # out symplectically orthonormal as well.  The boosted trap state
         # (xi and the modes times exp(0.7ix)) has a complex M, as the
-        # coefficients h3_of_t assembles along a trajectory do.
+        # coefficients h3_of_t assembles along a trajectory do; the Colpa
+        # oracle diagonalizes it.
         trap = trap_states[10.0]
         boost = np.exp(0.7j * trap.grid.points)
         boosted = PhononBasis(
@@ -329,12 +325,11 @@ class TestDiagonalize:
             boosted.condensate.values, boosted, trap.potential.values, trap.u_tilde, trap.mu
         )
         assert np.max(np.abs(boosted_qh.m_matrix.imag)) > 0.1
-        cases = [(boosted_qh, boosted)]
+        cases = [(colpa(boosted_qh, boosted), boosted)]
         for state, k in ((trap, 32), (uniform_state, 16)):
             basis = build_phonon_basis(state, k)
-            cases.append((assemble(state, basis), basis))
-        for qh, basis in cases:
-            spec = diagonalize(qh, basis)
+            cases.append((diagonalize(assemble(state, basis), basis), basis))
+        for spec, basis in cases:
             c, s = spec.c_matrix, spec.s_matrix
             # With s = conj(v): u^H u - v^H v = c^H c - (s^H s)^T.
             sym = c.conj().T @ c - (s.conj().T @ s).T
@@ -431,7 +426,7 @@ class TestStability:
                 state.xi.values, basis, state.potential.values, state.u_tilde, state.mu + 3.0
             )
         else:
-            basis = plane_wave_basis(uniform_state, 2)
+            basis = build_phonon_basis(uniform_state, 2)
             m, g = _INDEFINITE[case == "complex"]
             qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g)
         with pytest.raises(InstabilityError, match="not positive definite") as from_diag:
@@ -458,7 +453,7 @@ class TestStability:
 
 
 class TestRealForm:
-    """Real (M, G) in the K x K real form against their complex cast, which runs Colpa."""
+    """Real (M, G) in the K x K real form against the Colpa oracle."""
 
     @pytest.mark.parametrize("n_points", [128, 1024])
     @pytest.mark.parametrize("u_tilde", [0.0, 2.0, 10.0])
@@ -468,10 +463,7 @@ class TestRealForm:
             basis = build_phonon_basis(state, K)
             qh = assemble(state, basis)
             assert qh.m_matrix.dtype == qh.g_matrix.dtype == np.float64
-            cast = QuadraticHamiltonian(
-                qh.e3, qh.m_matrix.astype(np.complex128), qh.g_matrix.astype(np.complex128)
-            )
-            real, ref = diagonalize(qh, basis), diagonalize(cast, basis)
+            real, ref = diagonalize(qh, basis), colpa(qh, basis)
             np.testing.assert_allclose(real.energies, ref.energies, rtol=1e-12, atol=0.0)
             assert real.omega_g == pytest.approx(ref.omega_g, rel=1e-12)
             for name in ("c_matrix", "s_matrix", "p_waves", "q_waves"):
@@ -480,30 +472,16 @@ class TestRealForm:
             u, v = real.c_matrix, real.s_matrix
             assert np.max(np.abs(u.T @ u - v.T @ v - np.eye(K))) < 1e-13
             occ = np.arange(K) % 3
-            assert h3_expectation(qh, occ) == pytest.approx(h3_expectation(cast, occ), rel=1e-12)
-
-    def test_real_matrices_never_build_the_2k_form(self, trap_states, monkeypatch):
-        # Real (M, G) take the K x K form, so Colpa's 2K x 2K D is never
-        # factored; their complex cast still is.
-        state = trap_states[10.0]
-        basis = build_phonon_basis(state, 16)
-        qh = assemble(state, basis)
-        cast = QuadraticHamiltonian(
-            qh.e3, qh.m_matrix.astype(np.complex128), qh.g_matrix.astype(np.complex128)
-        )
-        calls = []
-        colpa = bdg._colpa
-        monkeypatch.setattr(bdg, "_colpa", lambda *args: calls.append(1) or colpa(*args))
-        diagonalize(qh, basis)
-        h3_expectation(qh, np.zeros(16))
-        assert calls == []
-        diagonalize(cast, basis)
-        assert calls == [1]
+            assert h3_expectation(qh, occ) == pytest.approx(
+                ref.omega_g + float(occ @ ref.energies), rel=1e-12
+            )
 
     @pytest.mark.parametrize("case", ["negative", "trap_mu_plus_3"])
-    def test_indefinite_real_d_reports_as_its_complex_cast(self, case, trap_states, uniform_state):
+    def test_indefinite_real_d_is_indefinite_for_colpa(self, case, trap_states, uniform_state):
+        # The real form's test (M + G and M - G both positive definite) and
+        # the oracle's Cholesky of the 2K x 2K D fail together.
         if case == "negative":
-            basis = plane_wave_basis(uniform_state, 2)
+            basis = build_phonon_basis(uniform_state, 2)
             m, g = np.diag([-1.0, 2.0]), np.zeros((2, 2))
         else:
             state = trap_states[10.0]
@@ -513,17 +491,50 @@ class TestRealForm:
             )
             m, g = qh.m_matrix, qh.g_matrix
         assert m.dtype == g.dtype == np.float64
-        errors = []
-        for mm, gg in ((m, g), (m.astype(np.complex128), g.astype(np.complex128))):
-            qh = QuadraticHamiltonian(e3=0.0, m_matrix=mm, g_matrix=gg)
-            with pytest.raises(InstabilityError) as from_diag:
-                diagonalize(qh, basis)
-            with pytest.raises(InstabilityError) as from_h3:
-                h3_expectation(qh, np.zeros(basis.K))
-            errors += [from_diag.value, from_h3.value]
-        for error in errors[1:]:
-            assert str(error) == str(errors[0])
-            np.testing.assert_array_equal(error.eigenvalues, errors[0].eigenvalues)
+        qh = QuadraticHamiltonian(e3=0.0, m_matrix=m, g_matrix=g)
+        with pytest.raises(InstabilityError) as from_diag:
+            diagonalize(qh, basis)
+        with pytest.raises(InstabilityError) as from_h3:
+            h3_expectation(qh, np.zeros(basis.K))
+        assert str(from_h3.value) == str(from_diag.value)
+        np.testing.assert_array_equal(from_h3.value.eigenvalues, from_diag.value.eigenvalues)
+        with pytest.raises(scipy.linalg.LinAlgError):
+            colpa(qh, basis)
+
+
+class TestComplexRefused:
+    """Complex-typed (M, G) have no quasiparticle spectrum in the library."""
+
+    def test_complex_cast_of_real_matrices(self, trap_states):
+        state = trap_states[10.0]
+        basis = build_phonon_basis(state, 16)
+        qh = assemble(state, basis)
+        for m, g in (
+            (qh.m_matrix.astype(np.complex128), qh.g_matrix.astype(np.complex128)),
+            (qh.m_matrix, qh.g_matrix.astype(np.complex128)),
+        ):
+            cast = QuadraticHamiltonian(qh.e3, m, g)
+            with pytest.raises(ConfigurationError, match="complex128"):
+                diagonalize(cast, basis)
+            with pytest.raises(ConfigurationError, match="complex128"):
+                h3_expectation(cast, np.zeros(16))
+
+    def test_complex_condensate_still_gives_complex_basis(self, trap_states):
+        # A complex-typed xi with zero imaginary part takes the complex
+        # basis path, which assembles but is not diagonalized.
+        state = trap_states[10.0]
+        cast = dataclasses.replace(
+            state, xi=ComplexField(state.xi.values.astype(np.complex128), state.grid)
+        )
+        basis = build_phonon_basis(cast, 24)
+        assert basis.mode_matrix.dtype == np.complex128
+        # The same modes to round-off, which 1/|tau| (|tau| = 1.9e-6) amplifies.
+        real = build_phonon_basis(state, 24).mode_matrix
+        assert np.max(np.abs(basis.mode_matrix - real)) < 1e-10
+        qh = assemble(cast, basis)
+        assert qh.m_matrix.dtype == qh.g_matrix.dtype == np.complex128
+        with pytest.raises(ConfigurationError):
+            diagonalize(qh, basis)
 
 
 class TestH3Expectation:
@@ -551,7 +562,7 @@ class TestH3Expectation:
             h3_expectation(qh, [0.0, bad, 0.0, 0.0])
 
     def test_uniform_pair_excitation(self, uniform_state, uniform_grid):
-        basis = plane_wave_basis(uniform_state, 8)
+        basis = build_phonon_basis(uniform_state, 8)
         qh = assemble(uniform_state, basis)
         spec = diagonalize(qh, basis)
         occ = np.zeros(8)
@@ -566,7 +577,7 @@ class TestH3Expectation:
                 h3_expectation(qh, np.zeros(2))
 
     def test_length_mismatch(self, uniform_state):
-        basis = plane_wave_basis(uniform_state, 4)
+        basis = build_phonon_basis(uniform_state, 4)
         qh = assemble(uniform_state, basis)
         with pytest.raises(DimensionMismatchError):
             h3_expectation(qh, np.zeros(5))

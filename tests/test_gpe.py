@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 
 from bogolib import gpe
-from bogolib.bdg import build_phonon_basis, plane_wave_basis
+from bogolib.bdg import build_phonon_basis
 from bogolib.errors import ConfigurationError, ConvergenceError
 from bogolib.gpe import (
     CondensateState,
@@ -27,6 +27,8 @@ from bogolib.grid import (
     spectral_map,
 )
 from bogolib.number_shift import StationaryProblem, exact_dxi_dN
+
+from oracles import plane_wave_basis
 
 TWO_PI = 2.0 * np.pi
 

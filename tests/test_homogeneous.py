@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bogolib.homogeneous as homogeneous
-from bogolib.bdg import assemble, diagonalize, plane_wave_basis
+from bogolib.bdg import assemble, build_phonon_basis, diagonalize
 from bogolib.errors import BogolibError, ConfigurationError, ResourceError
 from bogolib.gpe import solve_stationary, zero_potential
 from bogolib.grid import build_grid
@@ -109,7 +109,7 @@ class TestDispersion:
     def test_matches_grid_pipeline(self):
         grid = build_grid(32, TWO_PI, "periodic")
         state = solve_stationary(grid, zero_potential(grid), u_tilde=2.0)
-        basis = plane_wave_basis(state, 8)
+        basis = build_phonon_basis(state, 8)
         spec = diagonalize(assemble(state, basis), basis)
         expected = np.sort(
             [bogoliubov_dispersion(s * j, 2.0, TWO_PI) for j in (1, 2, 3, 4) for s in (1, -1)]
@@ -354,7 +354,7 @@ class TestFockOracle:
         L, u_tilde, n = TWO_PI, 2.0, 37
         grid = build_grid(32, L, "periodic")
         state = solve_stationary(grid, zero_potential(grid), u_tilde=u_tilde)
-        basis = plane_wave_basis(state, 2)
+        basis = build_phonon_basis(state, 2)
         qh = assemble(state, basis)
         spec = diagonalize(qh, basis)
         k = TWO_PI / L

@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 
 from bogolib import tdgpe
-from bogolib.bdg import PhononBasis, build_phonon_basis
+from bogolib.bdg import PhononBasis, build_phonon_basis, diagonalize, h3_expectation
 from bogolib.errors import ConfigurationError, DimensionMismatchError, IntegratorError
 from bogolib.gpe import (
     CondensateState,
@@ -616,6 +616,16 @@ class TestH3OfT:
         traj = propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=10)
         with pytest.raises(ConfigurationError):
             h3_of_t(traj)
+
+    def test_transported_coefficients_are_complex_and_refused(self, quench_setup):
+        traj, _ = quench_setup
+        for qh, modes in zip(h3_of_t(traj), traj.modes_t):
+            # The condensate is complex from the first snapshot on, so G is.
+            assert qh.g_matrix.dtype == np.complex128
+            with pytest.raises(ConfigurationError, match="complex128"):
+                diagonalize(qh, modes)
+            with pytest.raises(ConfigurationError, match="complex128"):
+                h3_expectation(qh, np.zeros(qh.n_modes))
 
 
 class TestHrDiagnostic:
