@@ -20,10 +20,13 @@ in three stages.
    for the residual r = (T + V + u_tilde xi^2 - mu) xi.  No matrix is
    formed: with e = xi/|xi| and P = I - e e^T, the step is the solution
    orthogonal to xi of P J P d = P rhs, found by conjugate gradients with
-   (T + s)^-1 as preconditioner; then d mu = e.(J d - rhs)/(e.xi).  P J P
-   is positive definite on the complement of xi near the ground state for every
-   u_tilde >= 0 (J itself is singular along xi at u_tilde = 0), so one CG
-   solve serves each step.  This is Newton-Krylov in the sense of Knoll &
+   (T + s)^-1 as preconditioner; then d mu = e.(J d - rhs)/(e.xi).  The
+   CG runs on the coefficients of ``grid.to_spectral``, where T and the
+   preconditioner are diagonal, so each iteration takes one transform
+   pair, for the potential term of J.  P J P is positive definite on the
+   complement of xi near the ground state for every u_tilde >= 0 (J
+   itself is singular along xi at u_tilde = 0), so one CG solve serves
+   each step.  This is Newton-Krylov in the sense of Knoll &
    Keyes, J. Comput. Phys. 193, 357 (2004).  Newton stops as soon as a step
    fails to halve the residual: that residual is the round-off floor of the
    grid.  A floor above ``tol`` is a ``ConvergenceError`` that names it.
@@ -44,8 +47,9 @@ and the mean-field energy per particle h1, the same with the quartic
 term weighted 1/2, are defined once, by ``_gp_operator``, from one
 application of T; every solver stage, functional and ``tdgpe`` snapshot
 evaluates them there.  The three sums are kept apart, so mu - h1 =
-(u_tilde/2) integral |psi|^4 dx holds identically.  Every function of T in
-a solve is one ``grid.spectral_map`` call on a real array.
+(u_tilde/2) integral |psi|^4 dx holds identically.  Outside the CG of
+stage 2, every function of T in a solve is one ``grid.spectral_map`` call
+on a real array.
 """
 
 from __future__ import annotations
@@ -56,7 +60,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigurationError, ConvergenceError
-from .grid import ComplexField, Grid1D, _check_same_grid, _kinetic_values, spectral_map
+from .grid import (ComplexField, Grid1D, _check_same_grid, _kinetic_values, from_spectral,
+                   spectral_map, to_spectral)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .bdg import PhononBasis
@@ -119,12 +124,13 @@ _LINE_SEARCH_HALVINGS = 40
 # Safety cap on Newton steps; each kept step at least halves the residual.
 _NEWTON_MAX_STEPS = 40
 # CG stops once its residual is below _CG_RTOL times the norm of the
-# right-hand side; it has taken 19-35 iterations on box and periodic
-# grids with n = 128-8192 and u_tilde = 0-50.
+# right-hand side; it has taken 20-35 iterations on box and periodic
+# grids with n = 128-8192, u_tilde = 0-50 and omega = 1, and 37-65 at omega = 3.
 _CG_RTOL = 1e-14
 _CG_MAX_ITERS = 300
-# The residual floor of a converged solve is 0.3-1.24 eps lambda_max(T)
-# (box and periodic grids, n = 1024-8192, u_tilde = 2 and 50); see ``default_tol``.
+# The residual floor of a converged solve is 0.37-0.90 eps lambda_max(T)
+# (box and periodic grids, n = 1024-8192, u_tilde = 2 and 50, omega = 1
+# and 3); see ``default_tol``.
 _FLOOR_FACTOR = 2.0
 # The certificate counts sign changes between samples above this fraction
 # of max|xi|.  An under-resolved ground state has tails that ripple in sign
@@ -139,7 +145,7 @@ def default_tol(grid: Grid1D) -> float:
     The round-off floor of the stationary residual grows with the largest
     kinetic eigenvalue lambda_max of the grid (4x per doubling of n), so a
     fixed target fails on fine grids.  The factor 2 clears the largest
-    measured floor, about 1.24 eps lambda_max; up to n = 1024 on a box of
+    measured floor, about 0.90 eps lambda_max; up to n = 1024 on a box of
     length 16 the target is 1e-11.
     """
     lam_max = float(np.max(grid.kinetic_eigs))
@@ -199,33 +205,41 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     [[J, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0] for the real orbital
     ``psi``, by conjugate gradients on P J P d = P rhs with d orthogonal
     to psi, preconditioned with (T + s)^-1, s = median|V + 3 u_tilde
-    psi^2 - mu|.  CG stops once its residual is at most _CG_RTOL |rhs|,
-    so a right-hand side along psi gives d = 0 without iterating.
-    Returns (d, m, CG iterations).
+    psi^2 - mu|, on the coefficients of ``grid.to_spectral``, which is
+    orthonormal, so norms and inner products carry over.  CG stops once
+    its residual is at most _CG_RTOL |rhs|, so a right-hand side along psi
+    gives d = 0 without iterating.  Returns (d, m, CG iterations), d a
+    contiguous float64 array.
 
     Raises ``ConvergenceError`` if CG meets non-positive curvature (P J P
     not positive definite at psi) or does not converge in _CG_MAX_ITERS.
     """
+    lam = grid.kinetic_eigs
     diag = v_real + 3.0 * u_tilde * psi**2 - mu
-    inverse = 1.0 / (grid.kinetic_eigs + np.median(np.abs(diag)))
-    e = psi / np.linalg.norm(psi)
+    inverse = 1.0 / (lam + np.median(np.abs(diag)))
+    psi_norm = np.linalg.norm(psi)
+    e = psi / psi_norm
+    e_t = to_spectral(grid, e)
 
-    def jacobian(v):
-        return _kinetic_values(grid, v) + diag * v
+    def dot(a, b):  # real part: box coefficients are real, periodic ones complex
+        return np.vdot(a, b).real
+
+    def jacobian(v):  # the potential term acts on real grid values
+        return lam * v + to_spectral(grid, diag * from_spectral(grid, v).real)
 
     def project(v):
-        return v - (e @ v) * e
+        return v - dot(e_t, v) * e_t
 
-    d = np.zeros_like(psi)
-    r = project(rhs)
+    d_t = np.zeros_like(e_t)
+    r = project(to_spectral(grid, rhs))
     target = _CG_RTOL * np.linalg.norm(rhs)
     iterations = 0
     if np.linalg.norm(r) > target:
-        z = project(spectral_map(grid, inverse, r))
-        p, rz = z, r @ z
+        z = project(inverse * r)
+        p, rz = z, dot(r, z)
         for iterations in range(1, _CG_MAX_ITERS + 1):
             q = project(jacobian(p))
-            curvature = p @ q
+            curvature = dot(p, q)
             if not curvature > 0:
                 raise ConvergenceError(
                     f"CG met non-positive curvature p.Jp = {curvature:.3e} at "
@@ -233,19 +247,22 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
                     "definite off the orbital"
                 )
             alpha = rz / curvature
-            d += alpha * p
+            d_t += alpha * p
             r -= alpha * q
             if np.linalg.norm(r) <= target:
                 break
-            z = project(spectral_map(grid, inverse, r))
-            rz, rz_old = r @ z, rz
+            z = project(inverse * r)
+            rz, rz_old = dot(r, z), rz
             p = z + (rz / rz_old) * p
         else:
             raise ConvergenceError(
                 f"CG did not converge in {_CG_MAX_ITERS} iterations "
                 f"(residual {np.linalg.norm(r):.3e}, target {target:.3e})"
             )
-    m = float(e @ (jacobian(d) - rhs) / (e @ psi))
+    # .real drops the round-off imaginary part of a periodic grid's inverse
+    # FFT.  m = e.(J d - rhs)/|psi| takes T d in the spectral basis.
+    d = np.ascontiguousarray(from_spectral(grid, d_t).real)
+    m = float((dot(e_t, lam * d_t) + e @ (diag * d - rhs)) / psi_norm)
     return d, m, iterations
 
 

@@ -130,6 +130,7 @@ class Trajectory:
     """Snapshots of a propagated condensate and optional mode functions."""
 
     times: np.ndarray
+    # xi_t[0] is the start in the dtype it was given; later snapshots are complex.
     xi_t: list[ComplexField]
     mu_t: np.ndarray
     h1_t: np.ndarray
@@ -254,8 +255,9 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     if not isinstance(stride, numbers.Integral) or stride < 1:
         raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
     dx = grid.dx
-    xi0 = xi0.astype(np.complex128)  # the motion is complex from the first step
-    spec = to_spectral(grid, xi0)
+    # The motion is complex from the first step; snapshot 0 keeps the orbital
+    # as given, so a stationary start's mu_t[0] is gpe.chemical_potential's.
+    spec = to_spectral(grid, xi0.astype(np.complex128))
     if basis is not None:
         _check_same_grid(basis.grid, grid)
         phi = basis.mode_matrix
@@ -278,7 +280,7 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
     stencil_lo = {j: min(max(j - 2, 0), n_steps - 4) for j in snapshot_steps}
     needed = {lo + i for lo in stencil_lo.values() for i in range(5)} | set(snapshot_steps)
 
-    states: dict[int, np.ndarray] = {0: xi0}
+    states: dict[int, np.ndarray] = {0: xi0.copy()}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t, h2_t = [], [], [], [], [], [], [], []
     chi = half * spec
     for j in range(n_steps + 1):
@@ -411,8 +413,10 @@ def h3_of_t(traj: Trajectory) -> list[QuadraticHamiltonian]:
     """Quadratic-energy coefficients in the instantaneous mode basis, one per snapshot.
 
     Each is assembled at the trajectory's u_tilde and snapshot ``mu_t``.
-    The condensate is complex, so G is (and M once the modes move):
-    ``bdg.diagonalize`` refuses these; no output of the library reads them.
+    From the first step on the condensate is complex, so G is (and M once
+    the modes move): ``bdg.diagonalize`` refuses these; no output of the
+    library reads them.  Snapshot 0 holds the start as given, so a float64
+    start with its real basis gives real (M, G) there.
     """
     if traj.modes_t is None:
         raise ConfigurationError("trajectory has no mode functions; pass basis= to propagate")

@@ -305,6 +305,30 @@ class TestLinearizedSolve:
             dxi.values.real, dmu, *dense_bordered_solve(grid, v_real, u_tilde, psi, state.mu, rhs)
         )
 
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_one_transform_pair_per_iteration(self, monkeypatch, boundary):
+        # The CG runs on spectral coefficients: each iteration transforms only
+        # for the potential term of J; three more transforms take rhs and the
+        # orbital to the spectral basis and the solution back.
+        grid = build_grid(1024, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
+        v_real, psi, mu, rhs = perturbed_newton_problem(state)
+        calls = []
+
+        def counted(transform):
+            def wrapper(*args):
+                calls.append(transform.__name__)
+                return transform(*args)
+
+            return wrapper
+
+        for name in ("to_spectral", "from_spectral"):
+            monkeypatch.setattr(gpe, name, counted(getattr(gpe, name)))
+        d, m, iterations = gpe._solve_linearized(grid, v_real, 2.0, psi, mu, rhs)
+        assert iterations > 0
+        assert len(calls) == 2 * iterations + 3
+        assert d.dtype == np.float64 and d.flags.c_contiguous
+
     def test_zero_right_hand_side(self, trap_states):
         state = trap_states[10.0]
         psi = state.xi.values.real

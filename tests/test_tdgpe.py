@@ -3,7 +3,7 @@ import pytest
 import scipy.fft
 
 from bogolib import tdgpe
-from bogolib.bdg import PhononBasis, build_phonon_basis, diagonalize, h3_expectation
+from bogolib.bdg import PhononBasis, assemble, build_phonon_basis, diagonalize, h3_expectation
 from bogolib.errors import ConfigurationError, DimensionMismatchError, IntegratorError
 from bogolib.gpe import (
     CondensateState,
@@ -619,13 +619,25 @@ class TestH3OfT:
 
     def test_transported_coefficients_are_complex_and_refused(self, quench_setup):
         traj, _ = quench_setup
-        for qh, modes in zip(h3_of_t(traj), traj.modes_t):
-            # The condensate is complex from the first snapshot on, so G is.
+        h3s = h3_of_t(traj)
+        # Snapshot 0 is the float64 start as given, so its (M, G) are real.
+        assert traj.xi_t[0].values.dtype == np.float64
+        assert h3s[0].m_matrix.dtype == h3s[0].g_matrix.dtype == np.float64
+        assert np.all(diagonalize(h3s[0], traj.modes_t[0]).energies > 0)
+        for qh, modes in zip(h3s[1:], traj.modes_t[1:]):
+            # The condensate is complex from the first step on, so G is.
             assert qh.g_matrix.dtype == np.complex128
             with pytest.raises(ConfigurationError, match="complex128"):
                 diagonalize(qh, modes)
             with pytest.raises(ConfigurationError, match="complex128"):
                 h3_expectation(qh, np.zeros(qh.n_modes))
+
+    def test_stationary_start_snapshot_is_the_stationary_problem(self, trap_state_u1):
+        basis = build_phonon_basis(trap_state_u1, 16)
+        traj = propagate(trap_state_u1, t_final=0.01, dt=1e-3, stride=5, basis=basis)
+        energies = diagonalize(h3_of_t(traj)[0], traj.modes_t[0]).energies
+        expected = diagonalize(assemble(trap_state_u1, basis), basis).energies
+        np.testing.assert_allclose(energies, expected, rtol=1e-12, atol=0)
 
 
 class TestHrDiagnostic:
