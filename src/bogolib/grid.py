@@ -11,6 +11,9 @@ Two boundary types are supported (units: hbar = m = 1):
 The library's one spectral transform S lives here: the boundary picks
 the basis, and the size and dtype the method: on a box, a cached dense
 matrix up to n = 256 and an FFT above.  A real array stays real.
+``spectral_kernels`` binds S and S^-1 to two complex buffers once, for a
+loop that transforms one vector per step; its kernels give the bits of
+``to_spectral`` / ``from_spectral`` without their per-call dispatch.
 
 All quadrature is the uniform rectangle rule with weight dx, which is
 exact for the periodic spectral representation and consistent with the
@@ -213,6 +216,58 @@ def from_spectral(grid: Grid1D, coeffs: np.ndarray) -> np.ndarray:
     if grid.boundary == "periodic":
         return scipy.fft.ifft(coeffs, norm="ortho")
     return _sine_transform(coeffs)
+
+
+def spectral_kernels(grid: Grid1D, coeffs: np.ndarray, values: np.ndarray):
+    """S and S^-1 bound to two buffers: ``forward()`` and ``inverse()``.
+
+    ``forward()`` writes S values into coeffs and ``inverse()`` S^-1 coeffs
+    into values, bit for bit as :func:`to_spectral` / :func:`from_spectral`
+    of the vector; neither writes its source.  Both buffers are contiguous
+    complex128 vectors of the grid's size.  For loops that transform one
+    vector per step: the views are made here, once, and on a box a kernel
+    allocates nothing.  Above n = 256 the box kernels share one odd extension
+    for their FFT, so the pair must not run in two threads at once.
+    """
+    n = grid.n_points
+    for buffer in (coeffs, values):
+        if buffer.shape != (n,) or buffer.dtype != np.complex128 or not buffer.flags.c_contiguous:
+            raise DimensionMismatchError(
+                f"spectral kernels need contiguous complex128 ({n},) buffers"
+            )
+    if grid.boundary == "periodic":
+
+        def forward():
+            coeffs[...] = scipy.fft.fft(values, norm="ortho")
+
+        def inverse():
+            values[...] = scipy.fft.ifft(coeffs, norm="ortho")
+
+        return forward, inverse
+    if n <= _DENSE_SINE_MAX_N:
+        # The product _sine_transform makes, on the same float64 pair views.
+        matrix = _sine_matrix(n)
+        c, v = (buffer.view(np.float64).reshape(n, 2) for buffer in (coeffs, values))
+
+        def forward():
+            np.matmul(matrix, v, out=c)
+
+        def inverse():
+            np.matmul(matrix, c, out=v)
+
+        return forward, inverse
+    ext = np.zeros(2 * (n + 1), dtype=np.complex128)
+    scale = 0.5j * np.sqrt(2.0 / (n + 1))
+
+    def sine(src, dst):
+        # The in-place FFT overwrites the zeros of the odd extension too.
+        ext[0] = ext[n + 1] = 0.0
+        ext[1 : n + 1] = src
+        np.negative(src[::-1], out=ext[n + 2 :])
+        spectrum = scipy.fft.fft(ext, overwrite_x=True)
+        np.multiply(spectrum[1 : n + 1], scale, out=dst)
+
+    return functools.partial(sine, values, coeffs), functools.partial(sine, coeffs, values)
 
 
 def spectral_map(grid: Grid1D, weights: np.ndarray, values: np.ndarray) -> np.ndarray:

@@ -11,6 +11,10 @@ the transform the stationary solver applies T with).  With D = exp(-i dt lambda/
 the kinetic half step and N_j the potential and nonlinear phase at t_j + dt/2,
 it carries chi_j = D S psi_j, so a step chi_{j+1} = D^2 S N_j S^-1 chi_j
 takes two transforms; psi_j = S^-1 D* chi_j is formed only at stored steps.
+A step runs in buffers allocated once per trajectory, with S and S^-1 bound
+to two of them once (``grid.spectral_kernels``); it makes the operations of
+the allocating form chi = D^2 S((S^-1 chi) exp(-i dt w)) in the same order,
+so every result is the same bit for bit.
 
 Mode functions ride along via
 
@@ -51,7 +55,7 @@ from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, IntegratorError
 from .gpe import CondensateState, _gp_operator, _harmonic_values
 from .grid import (ComplexField, Grid1D, _check_same_grid, from_spectral, inner_product, norm,
-                   to_spectral)
+                   spectral_kernels, to_spectral)
 
 EVOLUTIONS = ("gpe", "linear")
 
@@ -192,9 +196,10 @@ def _fd_first_derivative_weights(offsets: np.ndarray) -> np.ndarray:
 
 # Steps per flush of the mode transport; a snapshot also flushes.  A step then
 # costs (2K + s) n complex multiply-adds plus a share of a fixed overhead.  On
-# a 2-vCPU VM (1 BLAS thread) s = 16 / 32 / 64 added 10.2 / 6.6 / 7.2 us a step
-# at n = 128, K = 24; s = 64 gained nothing consistent at n = 256, and s = 16
-# cost 1.4x s = 32 at n = 1024, K = 256 (2 threads).
+# a 2-vCPU VM (1 BLAS thread) s = 16 / 32 / 64 added 12.8 / 10.8 / 12.0 us to
+# a 15.4 us step at n = 128, K = 24, and 22.8 / 21.5 / 20.0 us to a 32.4 us
+# step at n = 256, K = 32; s = 16 cost 1.4x s = 32 at n = 1024, K = 256
+# (2 threads).
 _WINDOW = 32
 
 
@@ -282,12 +287,26 @@ def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution
 
     states: dict[int, np.ndarray] = {0: xi0.copy()}
     xi_t, mu_t, h1_t, norm_t, modes_t, gram_t, overlap_t, h2_t = [], [], [], [], [], [], [], []
+    # A step runs in these buffers: inverse() fills mid from chi, forward() chi from mid.
     chi = half * spec
+    mid = np.empty_like(chi)
+    theta = np.empty(grid.n_points)
+    kick = np.empty_like(chi)
+    forward, inverse = spectral_kernels(grid, chi, mid)
+    rotation = -1j * dt
     for j in range(n_steps + 1):
         if j > 0:
-            mid = from_spectral(grid, chi)
-            w = pot((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
-            chi = full * to_spectral(grid, mid * np.exp(-1j * dt * w))
+            # theta = V(t + dt/2) + u |mid|^2, mid *= exp(-i dt theta).
+            inverse()
+            np.abs(mid, out=theta)
+            np.square(theta, out=theta)
+            theta *= u_eff
+            theta += pot((j - 1) * dt + 0.5 * dt)
+            np.multiply(rotation, theta, out=kick)
+            np.exp(kick, out=kick)
+            mid *= kick
+            forward()
+            np.multiply(full, chi, out=chi)
             if basis is not None:
                 fill += 1
                 np.multiply(back, chi, out=window[fill])

@@ -3,13 +3,16 @@
 ``colpa`` diagonalizes (M, G) of any dtype by Colpa's 2K method
 (J. H. P. Colpa, Physica A 93, 327 (1978)), the reference for the K x K
 real form of ``bogolib.bdg``.  ``plane_wave_basis`` gives the complex
-exp(ikx) modes of a uniform gas on a periodic grid.
+exp(ikx) modes of a uniform gas on a periodic grid.  ``split_step_final``
+is the spectral split-step loop of ``bogolib.tdgpe`` with a fresh array for
+every intermediate, the reference for its in-place step.
 """
 
 import numpy as np
 import scipy.linalg
 
 from bogolib.bdg import PhononBasis, QuadraticHamiltonian, QuasiparticleSpectrum
+from bogolib.grid import from_spectral, to_spectral
 
 
 def colpa(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
@@ -56,3 +59,22 @@ def plane_wave_basis(state, K: int) -> PhononBasis:
     assert grid.boundary == "periodic" and K % 2 == 0
     ks = np.outer(np.arange(1, K // 2 + 1), [1, -1]).ravel() * (2.0 * np.pi / grid.length)
     return PhononBasis(np.exp(1j * np.outer(ks, grid.points)) / np.sqrt(grid.length), state.xi)
+
+
+def split_step_final(state, n_steps, dt, potential_of_t, evolution="gpe"):
+    """The condensate after n_steps split steps, each written with fresh arrays.
+
+    The loop carries chi = D S psi with D = exp(-i dt lambda/2), as
+    ``tdgpe._evolve`` does, and the same operations in the same operand
+    order, so the result matches its last snapshot bit for bit.
+    """
+    grid = state.grid
+    u_eff = state.u_tilde if evolution == "gpe" else 0.0
+    half = np.exp(-0.5j * dt * grid.kinetic_eigs)
+    full = half * half
+    chi = half * to_spectral(grid, state.xi.values.astype(np.complex128))
+    for j in range(1, n_steps + 1):
+        mid = from_spectral(grid, chi)
+        w = potential_of_t((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
+        chi = full * to_spectral(grid, mid * np.exp(-1j * dt * w))
+    return from_spectral(grid, half.conj() * chi)

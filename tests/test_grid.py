@@ -16,6 +16,7 @@ from bogolib.grid import (
     from_spectral,
     inner_product,
     kinetic_matrix,
+    spectral_kernels,
     spectral_map,
     to_spectral,
 )
@@ -264,6 +265,40 @@ class TestSpectralMap:
         grid = build_grid(256, 16.0, boundary)
         state = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
         assert state.residual == gpe_residual(state)
+
+
+class TestSpectralKernels:
+    """The split-step loop's bound transform pair against to_spectral / from_spectral."""
+
+    # Dense matrix, FFT of the odd extension, unitary FFT.
+    @pytest.mark.parametrize(("boundary", "n"), [("box", 128), ("box", 320), ("periodic", 128)])
+    def test_bit_identical_to_the_transform(self, boundary, n):
+        grid = build_grid(n, 12.0, boundary)
+        rng = np.random.default_rng(n)
+        coeffs, values = np.empty(n, dtype=np.complex128), np.empty(n, dtype=np.complex128)
+        forward, inverse = spectral_kernels(grid, coeffs, values)
+        # Twice each, so a buffer the kernels keep is reused.
+        for _ in range(2):
+            values[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            source = values.copy()
+            forward()
+            assert np.array_equal(values, source)
+            assert np.array_equal(coeffs, to_spectral(grid, source))
+            coeffs[:] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            source = coeffs.copy()
+            inverse()
+            assert np.array_equal(coeffs, source)
+            assert np.array_equal(values, from_spectral(grid, source))
+
+    @pytest.mark.parametrize(
+        "buffer",
+        [np.empty(64, dtype=np.complex128), np.empty(128), np.empty(256, dtype=np.complex128)[::2]],
+        ids=["size", "dtype", "strided"],
+    )
+    def test_rejects_a_buffer_it_cannot_view(self, buffer):
+        grid = build_grid(128, 12.0, "box")
+        with pytest.raises(DimensionMismatchError):
+            spectral_kernels(grid, np.empty(128, dtype=np.complex128), buffer)
 
 
 class TestInnerProduct:

@@ -27,6 +27,7 @@ from bogolib.tdgpe import (
 )
 
 from conftest import orthonormal_modes
+from oracles import split_step_final
 
 TWO_PI = 2.0 * np.pi
 
@@ -425,24 +426,35 @@ class TestPropagateModes:
 
 @pytest.fixture(scope="module")
 def ramp_states(trap_grid):
-    """Trapped ground states on a box and on a periodic grid of the same size."""
+    """Trapped ground states by (boundary, n_points): box and periodic at the trap grid's
+    size, and a 320-point box, whose sine transform takes the FFT."""
     periodic = build_grid(trap_grid.n_points, trap_grid.length, "periodic")
+    fft_box = build_grid(320, trap_grid.length, "box")
     return {
-        grid.boundary: solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)
-        for grid in (trap_grid, periodic)
+        (grid.boundary, grid.n_points): solve_stationary(grid, harmonic_potential(grid),
+                                                         u_tilde=2.0)
+        for grid in (trap_grid, periodic, fft_box)
     }
 
 
+# The three ways a grid transforms: dense sine matrix, FFT of the odd extension, unitary FFT.
+LOOP_GRIDS = [
+    pytest.param("box", 128, id="box"),
+    pytest.param("periodic", 128, id="periodic"),
+    pytest.param("box", 320, id="box-320"),
+]
+
+
 class TestSpectralLoop:
-    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    @pytest.mark.parametrize(("boundary", "n_points"), LOOP_GRIDS)
     @pytest.mark.parametrize("evolution", ["gpe", "linear"])
     @pytest.mark.parametrize(("stride", "n_snapshots"), [(50, 5), (45, 6)])
-    def test_matches_four_transform_reference(self, ramp_states, boundary, evolution, stride,
-                                              n_snapshots):
+    def test_matches_four_transform_reference(self, ramp_states, boundary, n_points, evolution,
+                                              stride, n_snapshots):
         # A ramp changes V within every step, so sampling it anywhere but
         # at t + dt/2 would show far above round-off.  Stride 45 puts
         # snapshots, and the last of the 200 steps, off the 32-step windows.
-        state = ramp_states[boundary]
+        state = ramp_states[boundary, n_points]
         ramp = TrapRamp(state.grid, 1.0, 1.3, t0=0.0, t1=0.2)
         basis = build_phonon_basis(state, 12)
         traj = propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=stride,
@@ -486,9 +498,39 @@ class TestSpectralLoop:
         assert np.max(np.abs(real.overlap_t - ref.overlap_t)) <= 1e-14
 
     def test_initial_snapshot_is_the_input(self, ramp_states):
-        state = ramp_states["box"]
+        state = ramp_states["box", 128]
         traj = propagate(state, t_final=0.01, dt=1e-3, stride=5)
         assert np.array_equal(traj.xi_t[0].values, state.xi.values)
+
+    @pytest.mark.parametrize(("boundary", "n_points"), LOOP_GRIDS)
+    @pytest.mark.parametrize("evolution", ["gpe", "linear"])
+    def test_in_place_step_is_the_allocating_step(self, ramp_states, boundary, n_points,
+                                                  evolution):
+        state = ramp_states[boundary, n_points]
+        ramp = TrapRamp(state.grid, 1.0, 1.3, t0=0.0, t1=0.2)
+        traj = propagate(state, t_final=0.2, dt=1e-3, potential_of_t=ramp, stride=50,
+                         evolution=evolution)
+        expected = split_step_final(state, traj.n_steps, traj.dt, ramp, evolution)
+        assert np.array_equal(traj.xi_t[-1].values, expected)
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    def test_no_transform_call_per_step(self, ramp_states, monkeypatch, boundary):
+        # Twice the steps at twice the stride store the same snapshots and
+        # stencils, so the transform calls match unless one runs per step.
+        state = ramp_states[boundary, 128]
+        basis = build_phonon_basis(state, 8)
+        calls = []
+        for name in ("to_spectral", "from_spectral"):
+            def spy(grid, values, transform=getattr(tdgpe, name)):
+                calls.append(transform)
+                return transform(grid, values)
+            monkeypatch.setattr(tdgpe, name, spy)
+        counts = []
+        for n_steps, stride in ((200, 50), (400, 100)):
+            calls.clear()
+            propagate(state, t_final=n_steps * 1e-3, dt=1e-3, stride=stride, basis=basis)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
 
 def random_window(seed, steps, n=64, K=6, dx=0.25):
