@@ -67,7 +67,6 @@ from .number_shift import (
     PhaseFixResult,
     StationaryProblem,
     build_report,
-    dxi_dN,
     exact_dxi_dN,
     matrix_elements,
     modified_amplitudes,

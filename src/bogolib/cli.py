@@ -41,6 +41,7 @@ from .gpe import (
 )
 from .grid import ComplexField, build_grid, norm
 from .homogeneous import (
+    _spectrum_counts,
     bogoliubov_dispersion,
     compare_asymptotics,
     exact_fock_spectrum,
@@ -78,25 +79,14 @@ OUTPUT_DIR_ENV = "BOGOLIB_OUTPUT_DIR"
 # ---------------------------------------------------------------------------
 
 
-def _parse_bounded_float(lo=None, hi=None, lo_open=False):
+def _parse_bounded(kind, lo=None, hi=None, lo_open=False):
     def parse(raw):
-        value = float(raw)
-        if not np.isfinite(value):
+        value = kind(raw)
+        # Only a float can be non-finite (np.isfinite refuses an int past 2**64).
+        if kind is float and not np.isfinite(value):
             raise ValueError("must be finite")
         if lo is not None and (value <= lo if lo_open else value < lo):
             raise ValueError(f"must be {'>' if lo_open else '>='} {lo}")
-        if hi is not None and value > hi:
-            raise ValueError(f"must be <= {hi}")
-        return value
-
-    return parse
-
-
-def _parse_bounded_int(lo=None, hi=None):
-    def parse(raw):
-        value = int(raw)
-        if lo is not None and value < lo:
-            raise ValueError(f"must be >= {lo}")
         if hi is not None and value > hi:
             raise ValueError(f"must be <= {hi}")
         return value
@@ -133,72 +123,85 @@ def _parse_formats(raw):
 REQUIRED = object()
 
 # section -> key -> (parser, default); REQUIRED marks mandatory keys and
-# None marks optional keys with no default.
+# None marks optional keys with no default.  Every [grid] key is required
+# by the grid scenarios, and load_config checks that for them alone.
 SCHEMA = {
     "scenario": {"name": (_parse_choice(SCENARIOS), REQUIRED)},
     "grid": {
-        "n_points": (_parse_bounded_int(8, 8192), REQUIRED),
-        "length": (_parse_bounded_float(0, lo_open=True), REQUIRED),
-        "boundary": (_parse_choice(("periodic", "box")), REQUIRED),
+        "n_points": (_parse_bounded(int, 8, 8192), None),
+        "length": (_parse_bounded(float, 0, lo_open=True), None),
+        "boundary": (_parse_choice(("periodic", "box")), None),
     },
     "physics": {
-        "u_tilde": (_parse_bounded_float(0), None),
-        "u": (_parse_bounded_float(0), None),
-        "n_particles": (_parse_bounded_float(0, lo_open=True), None),
+        "u_tilde": (_parse_bounded(float, 0), None),
+        "u": (_parse_bounded(float, 0), None),
+        "n_particles": (_parse_bounded(float, 0, lo_open=True), None),
         "potential": (str, "none"),
         "k_mode": (_parse_nonzero_float, None),
-        "volume": (_parse_bounded_float(0, lo_open=True), None),
+        "volume": (_parse_bounded(float, 0, lo_open=True), None),
     },
     "numerics": {
         # Resolved below from the grid (gpe.default_tol) when not given.
-        "tol": (_parse_bounded_float(0, lo_open=True), None),
-        "dt": (_parse_bounded_float(0, lo_open=True), 1e-3),
-        "t_final": (_parse_bounded_float(0, lo_open=True), 10.0),
-        "k_modes": (_parse_bounded_int(1), None),
-        "n_max_excited": (_parse_bounded_int(1), None),
+        "tol": (_parse_bounded(float, 0, lo_open=True), None),
+        "dt": (_parse_bounded(float, 0, lo_open=True), 1e-3),
+        "t_final": (_parse_bounded(float, 0, lo_open=True), 10.0),
+        "k_modes": (_parse_bounded(int, 1), None),
+        "n_max_excited": (_parse_bounded(int, 1), None),
         "evolution": (_parse_choice(("gpe", "linear")), "gpe"),
     },
     "output": {
         "directory": (str, "out"),
-        "stride": (_parse_bounded_int(1), 10),
+        "stride": (_parse_bounded(int, 1), 10),
         "formats": (_parse_formats, "csv,json"),
     },
 }
 
 
-def _parse_potential_spec(spec: str):
-    """'none' | 'harmonic(omega)' | 'quench(from,to,t_switch)'."""
+_FREQUENCY = _parse_bounded(float, 0, lo_open=True)
+
+# Potential name -> parameter -> parser, in the order the spec lists them.
+POTENTIALS = {
+    "harmonic": {"omega": _FREQUENCY},
+    "quench": {"from": _FREQUENCY, "to": _FREQUENCY, "t_switch": _parse_bounded(float, 0)},
+}
+
+
+def _parse_potential_spec(spec: str) -> tuple:
+    """'none' | 'harmonic(omega)' | 'quench(from,to,t_switch)' -> (name, *parameters)."""
     spec = spec.strip()
     if spec == "none":
         return ("none",)
-    if spec.startswith("harmonic(") and spec.endswith(")"):
-        inner = spec[len("harmonic(") : -1]
+    name, _, inner = spec.partition("(")
+    if name not in POTENTIALS or not inner.endswith(")"):
+        raise ConfigurationError("expected none, harmonic(omega) or quench(from,to,t_switch)")
+    params = POTENTIALS[name]
+    parts = inner[:-1].split(",")
+    if len(parts) != len(params):
+        raise ConfigurationError(f"{name} needs ({', '.join(params)})")
+    values = []
+    for (param, parse), raw in zip(params.items(), parts):
         try:
-            omega = float(inner)
-        except ValueError:
-            raise ConfigurationError(f"bad harmonic frequency {inner!r}") from None
-        if not np.isfinite(omega):
-            raise ConfigurationError(f"potential {spec!r} has a non-finite value")
-        if omega <= 0:
-            raise ConfigurationError("harmonic frequency must be positive")
-        return ("harmonic", omega)
-    if spec.startswith("quench(") and spec.endswith(")"):
-        parts = spec[len("quench(") : -1].split(",")
-        if len(parts) != 3:
-            raise ConfigurationError("quench needs (from, to, t_switch)")
-        try:
-            w_from, w_to, t_switch = (float(p) for p in parts)
-        except ValueError:
-            raise ConfigurationError(f"bad quench parameters {spec!r}") from None
-        if not np.all(np.isfinite([w_from, w_to, t_switch])):
-            raise ConfigurationError(f"potential {spec!r} has a non-finite value")
-        if w_from <= 0 or w_to <= 0 or t_switch < 0:
-            raise ConfigurationError("quench frequencies must be positive, t_switch >= 0")
-        return ("quench", w_from, w_to, t_switch)
-    raise ConfigurationError(
-        f"unknown potential {spec!r}; expected none, harmonic(omega) or "
-        "quench(from,to,t_switch)"
-    )
+            values.append(parse(raw))
+        except ValueError as exc:
+            raise ConfigurationError(f"{param} = {raw!r}: {exc}") from None
+    return (name, *values)
+
+
+def _potentials(spec: str, grid):
+    """(stationary potential, potential_of_t or None) of a potential spec on the grid.
+
+    A quench's stationary potential is its initial trap.  Every error,
+    also a finite frequency that overflows the potential on the grid,
+    names the spec as written.
+    """
+    try:
+        name, *values = _parse_potential_spec(spec)
+        if name == "none":
+            return zero_potential(grid), None
+        potential_of_t = TrapQuench(grid, *values) if name == "quench" else None
+        return harmonic_potential(grid, values[0]), potential_of_t
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"potential {spec!r}: {exc}") from None
 
 
 def load_config(path: str) -> dict:
@@ -233,27 +236,18 @@ def load_config(path: str) -> dict:
                 except ValueError as exc:
                     raise ConfigurationError(f"[{section}] {key} = {raw!r}: {exc}") from None
             elif default is REQUIRED:
-                if section == "grid":
-                    continue  # enforced below, only for grid-based scenarios
                 raise ConfigurationError(f"missing required key [{section}] {key}")
             elif default is not None:
                 config[section][key] = default
 
     scenario = config["scenario"]["name"]
-
+    phys, num = config["physics"], config["numerics"]
     if scenario in GRID_SCENARIOS:
         for key in SCHEMA["grid"]:
             if key not in config["grid"]:
                 raise ConfigurationError(f"missing required key [grid] {key}")
-        gridcfg = config["grid"]
-        grid = build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
-        if "tol" not in config["numerics"]:
-            config["numerics"]["tol"] = default_tol(grid)
-    elif config["grid"]:
-        raise ConfigurationError(f"[grid] section is not used by scenario {scenario}")
-
-    phys = config["physics"]
-    if scenario in GRID_SCENARIOS:
+        grid = build_grid(**config["grid"])
+        num.setdefault("tol", default_tol(grid))
         has_ut = "u_tilde" in phys
         has_un = "u" in phys and "n_particles" in phys
         if scenario == "number-shift":
@@ -265,33 +259,30 @@ def load_config(path: str) -> dict:
             raise ConfigurationError(
                 "specify exactly one of u_tilde or the pair (u, n_particles)"
             )
-        pot_spec = phys["_potential_parsed"] = _parse_potential_spec(phys["potential"])
-        if pot_spec[0] == "quench" and scenario != "dynamics":
-            raise ConfigurationError("quench potentials are only for dynamics runs")
-        try:  # a finite frequency can still overflow the potential on the grid
-            if pot_spec[0] == "harmonic":
-                harmonic_potential(grid, pot_spec[1])
-            elif pot_spec[0] == "quench":
-                TrapQuench(grid, *pot_spec[1:])
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"potential {phys['potential']!r}: {exc}") from None
         # The run's own checks, made here so that a bad config fails before any solve.
+        if _potentials(phys["potential"], grid)[1] is not None and scenario != "dynamics":
+            raise ConfigurationError("quench potentials are only for dynamics runs")
         if scenario in BASIS_SCENARIOS:
             _check_mode_count(grid, _default_k_modes(config, grid))
         if scenario == "dynamics":
-            _step_count(config["numerics"]["t_final"], config["numerics"]["dt"])
-    else:
-        for key in ("u", "n_particles", "volume"):
-            if key not in phys:
-                raise ConfigurationError(f"scenario {scenario} needs [physics] {key}")
-        if abs(phys["n_particles"] - round(phys["n_particles"])) > 0:
-            raise ConfigurationError(f"{scenario} n_particles must be an integer")
-        if scenario == "fock-oracle":
-            if "k_mode" not in phys:
-                raise ConfigurationError("fock-oracle needs [physics] k_mode")
-            if "n_max_excited" not in config["numerics"]:
-                raise ConfigurationError("fock-oracle needs [numerics] n_max_excited")
+            _step_count(num["t_final"], num["dt"])
+        return config
 
+    if config["grid"]:
+        raise ConfigurationError(f"[grid] section is not used by scenario {scenario}")
+    for key in ("u", "n_particles", "volume"):
+        if key not in phys:
+            raise ConfigurationError(f"scenario {scenario} needs [physics] {key}")
+    if abs(phys["n_particles"] - round(phys["n_particles"])) > 0:
+        raise ConfigurationError(f"{scenario} n_particles must be an integer")
+    if scenario == "fock-oracle":
+        if "k_mode" not in phys:
+            raise ConfigurationError("fock-oracle needs [physics] k_mode")
+        if "n_max_excited" not in num:
+            raise ConfigurationError("fock-oracle needs [numerics] n_max_excited")
+        _spectrum_counts(
+            phys["n_particles"], phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
+        )
     return config
 
 
@@ -329,35 +320,17 @@ class OutputWriter:
         self.files.append(name)
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
+def _json_default(obj):
+    """What ``json`` cannot write: numpy values as Python ones, anything else as its repr."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     return repr(obj)
 
 
-def _config_for_summary(config: dict) -> dict:
-    return {
-        section: {k: _jsonable(v) for k, v in keys.items() if not k.startswith("_")}
-        for section, keys in config.items()
-    }
-
-
 def write_summary(directory: Path, config: dict, results: dict, files: list[str]) -> Path:
-    summary = {
-        "config": _config_for_summary(config),
-        "results": _jsonable(results),
-        "files": sorted(files),
-    }
+    summary = {"config": config, "results": results, "files": sorted(files)}
     path = directory / "summary.json"
-    path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(summary, indent=2, sort_keys=True, default=_json_default) + "\n")
     return path
 
 
@@ -370,9 +343,10 @@ def write_meta(directory: Path, elapsed: float, solver: dict) -> None:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "output_directory": str(directory.resolve()),
-        "solver": _jsonable(solver),
+        "solver": solver,
     }
-    (directory / "run_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
+    text = json.dumps(meta, indent=2, default=_json_default)
+    (directory / "run_meta.json").write_text(text + "\n")
 
 
 def _parities(waves: np.ndarray, boundary: str) -> list[str]:
@@ -389,24 +363,19 @@ def _parities(waves: np.ndarray, boundary: str) -> list[str]:
 
 
 def _build_state(config: dict, out: OutputWriter):
-    gridcfg = config["grid"]
-    grid = build_grid(gridcfg["n_points"], gridcfg["length"], gridcfg["boundary"])
-    pot_spec = config["physics"]["_potential_parsed"]
-    if pot_spec[0] == "none":
-        potential = zero_potential(grid)
-    else:  # harmonic or quench: the stationary solve uses the initial trap
-        potential = harmonic_potential(grid, pot_spec[1])
+    """(grid, stationary state, potential_of_t or None) of a grid scenario."""
+    grid = build_grid(**config["grid"])
+    potential, potential_of_t = _potentials(config["physics"]["potential"], grid)
     u_tilde, n_particles = resolved_u_tilde(config)
-    num = config["numerics"]
     state = solve_stationary(
         grid,
         potential,
         u_tilde,
         n_particles=n_particles,
-        tol=num["tol"],
+        tol=config["numerics"]["tol"],
     )
     out.solver["stationary"] = dataclasses.asdict(state.trace)
-    return grid, state
+    return grid, state, potential_of_t
 
 
 def _default_k_modes(config: dict, grid) -> int:
@@ -415,7 +384,7 @@ def _default_k_modes(config: dict, grid) -> int:
 
 
 def run_stationary(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config, out)
+    grid, state, _ = _build_state(config, out)
     h1 = energy_functional_h1(state)
     results = {
         "mu": state.mu,
@@ -439,7 +408,7 @@ def run_stationary(config: dict, out: OutputWriter) -> dict:
 
 
 def run_spectrum(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config, out)
+    grid, state, _ = _build_state(config, out)
     K = _default_k_modes(config, grid)
     basis = build_phonon_basis(state, K)
     qh = assemble(state, basis)
@@ -455,52 +424,39 @@ def run_spectrum(config: dict, out: OutputWriter) -> dict:
         exc.results = results
         raise
 
-    uniform = (
-        config["physics"]["_potential_parsed"][0] == "none" and grid.boundary == "periodic"
-    )
-    u_tilde, _ = resolved_u_tilde(config)
-    analytic = None
-    if uniform:
-        base = 2.0 * np.pi / grid.length
-        ks = sorted(
-            (s * j * base for j in range(1, K // 2 + 1) for s in (1, -1)), key=abs
-        )[:K]
-        analytic = np.sort([bogoliubov_dispersion(k, u_tilde, grid.length) for k in ks])
-
     parities = _parities(spectrum.p_waves, grid.boundary)
-    header = ["mode", "energy", "parity"]
-    rows = [[m, float(e), parities[m]] for m, e in enumerate(spectrum.energies)]
-    if analytic is not None:
-        # Uniform gas: energies come in +-k pairs ordered by |k|.
-        header = ["mode", "k", "energy", "parity", "energy_analytic"]
-        base = 2.0 * np.pi / grid.length
-        rows = [
-            [m, (m // 2 + 1) * base, float(e), parities[m], float(ref)]
-            for m, (e, ref) in enumerate(zip(spectrum.energies, analytic))
-        ]
-
     results.update(
         stable=True, omega_g=spectrum.omega_g, lowest_energy=float(spectrum.energies[0])
     )
     odd = [float(e) for e, p in zip(spectrum.energies, parities) if p == "odd"]
     if odd:
         results["lowest_odd_parity_energy"] = odd[0]
-    if analytic is not None:
+
+    header = ["mode", "energy", "parity"]
+    rows = [[m, float(e), parities[m]] for m, e in enumerate(spectrum.energies)]
+    uniform = _parse_potential_spec(config["physics"]["potential"])[0] == "none"
+    if uniform and grid.boundary == "periodic":
+        # Uniform gas: energies come in +-k pairs ordered by |k|, so mode m
+        # has |k| = (m//2 + 1) 2 pi / L.
+        u_tilde, _ = resolved_u_tilde(config)
+        base = 2.0 * np.pi / grid.length
+        ks = [(m // 2 + 1) * base for m in range(K)]
+        analytic = np.array([bogoliubov_dispersion(k, u_tilde, grid.length) for k in ks])
+        header = ["mode", "k", "energy", "parity", "energy_analytic"]
+        rows = [
+            [m, k, float(e), parities[m], float(ref)]
+            for m, (k, e, ref) in enumerate(zip(ks, spectrum.energies, analytic))
+        ]
         results["max_rel_dev_vs_analytic"] = float(
             np.max(np.abs(spectrum.energies - analytic) / analytic)
         )
-
     out.csv("modes.csv", header, rows)
     return results
 
 
 def run_dynamics(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config, out)
+    grid, state, potential_of_t = _build_state(config, out)
     num = config["numerics"]
-    pot_spec = config["physics"]["_potential_parsed"]
-    potential_of_t = None
-    if pot_spec[0] == "quench":
-        potential_of_t = TrapQuench(grid, pot_spec[1], pot_spec[2], pot_spec[3])
     basis = build_phonon_basis(state, _default_k_modes(config, grid))
     traj = propagate(
         state,
@@ -561,7 +517,7 @@ def run_dynamics(config: dict, out: OutputWriter) -> dict:
 
 
 def run_number_shift(config: dict, out: OutputWriter) -> dict:
-    grid, state = _build_state(config, out)
+    grid, state, _ = _build_state(config, out)
     phys = config["physics"]
     num = config["numerics"]
     problem = StationaryProblem(
@@ -706,7 +662,7 @@ def run(config_path: str) -> int:
 
 def validate(config_path: str) -> int:
     config = load_config(config_path)
-    print(json.dumps(_config_for_summary(config), indent=2, sort_keys=True))
+    print(json.dumps(config, indent=2, sort_keys=True, default=_json_default))
     return 0
 
 

@@ -175,6 +175,21 @@ def _sine_matrix(n: int) -> np.ndarray:
     return s
 
 
+def _odd_extension_sine(values: np.ndarray, ext: np.ndarray, out=None) -> np.ndarray:
+    """Complex DST-I along the last axis by one FFT of the odd extension [0, v, 0, -v[::-1]].
+
+    ``ext`` is a complex128 buffer of 2(n+1) along the last axis, which the
+    in-place FFT overwrites (its zeros too, so they are written every call);
+    the result goes to ``out``, or to a new array when ``out`` is None.
+    """
+    n = values.shape[-1]
+    ext[..., 0] = ext[..., n + 1] = 0.0
+    ext[..., 1 : n + 1] = values
+    np.negative(values[..., ::-1], out=ext[..., n + 2 :])
+    spectrum = scipy.fft.fft(ext, axis=-1, overwrite_x=True)
+    return np.multiply(spectrum[..., 1 : n + 1], 0.5j * np.sqrt(2.0 / (n + 1)), out=out)
+
+
 def _sine_transform(values: np.ndarray) -> np.ndarray:
     """Orthonormal DST-I along the last axis, its own inverse; real stays real.
 
@@ -197,11 +212,8 @@ def _sine_transform(values: np.ndarray) -> np.ndarray:
         return out.T.reshape(values.shape)
     if np.isrealobj(values):
         return scipy.fft.dst(values, type=1, norm="ortho")
-    ext = np.zeros(values.shape[:-1] + (2 * (n + 1),), dtype=np.complex128)
-    ext[..., 1 : n + 1] = values
-    ext[..., n + 2 :] = -values[..., ::-1]
-    spectrum = scipy.fft.fft(ext, axis=-1, overwrite_x=True)
-    return spectrum[..., 1 : n + 1] * (0.5j * np.sqrt(2.0 / (n + 1)))
+    ext = np.empty(values.shape[:-1] + (2 * (n + 1),), dtype=np.complex128)
+    return _odd_extension_sine(values, ext)
 
 
 def to_spectral(grid: Grid1D, values: np.ndarray) -> np.ndarray:
@@ -256,18 +268,11 @@ def spectral_kernels(grid: Grid1D, coeffs: np.ndarray, values: np.ndarray):
             np.matmul(matrix, c, out=v)
 
         return forward, inverse
-    ext = np.zeros(2 * (n + 1), dtype=np.complex128)
-    scale = 0.5j * np.sqrt(2.0 / (n + 1))
-
-    def sine(src, dst):
-        # The in-place FFT overwrites the zeros of the odd extension too.
-        ext[0] = ext[n + 1] = 0.0
-        ext[1 : n + 1] = src
-        np.negative(src[::-1], out=ext[n + 2 :])
-        spectrum = scipy.fft.fft(ext, overwrite_x=True)
-        np.multiply(spectrum[1 : n + 1], scale, out=dst)
-
-    return functools.partial(sine, values, coeffs), functools.partial(sine, coeffs, values)
+    ext = np.empty(2 * (n + 1), dtype=np.complex128)
+    return (
+        functools.partial(_odd_extension_sine, values, ext, coeffs),
+        functools.partial(_odd_extension_sine, coeffs, ext, values),
+    )
 
 
 def spectral_map(grid: Grid1D, weights: np.ndarray, values: np.ndarray) -> np.ndarray:

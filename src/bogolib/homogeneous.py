@@ -144,6 +144,18 @@ def _fock_counts(n_particles, k_mode, u, volume, n_max_excited) -> tuple[int, in
     return int(n_particles), int(n_max_excited)
 
 
+def _spectrum_counts(n_particles, k_mode, u, volume, n_max_excited) -> tuple[int, int]:
+    """``_fock_counts`` plus the checks of ``exact_fock_spectrum``'s own inputs."""
+    n_particles, n_max_excited = _fock_counts(n_particles, k_mode, u, volume, n_max_excited)
+    if n_max_excited > n_particles:
+        raise ConfigurationError("need 1 <= n_max_excited <= n_particles")
+    if k_mode == 0:
+        raise ConfigurationError("k_mode must be nonzero")
+    if u < 0:
+        raise ConfigurationError("u must be non-negative")
+    return n_particles, n_max_excited
+
+
 def _require_states(n_states: int) -> None:
     if n_states > MAX_FOCK_STATES:
         raise ResourceError(f"Fock basis has {n_states} states (limit {MAX_FOCK_STATES})")
@@ -241,15 +253,7 @@ def exact_fock_spectrum(
     raises.  N and n_max_excited must be whole numbers, k_mode and u
     finite, and the volume finite and positive.
     """
-    n_particles, n_max_excited = _fock_counts(n_particles, k_mode, u, volume, n_max_excited)
-    if n_max_excited > n_particles:
-        raise ConfigurationError("need 1 <= n_max_excited <= n_particles")
-    if k_mode == 0:
-        raise ConfigurationError("k_mode must be nonzero")
-    if u < 0:
-        raise ConfigurationError("u must be non-negative")
-
-    cap = n_max_excited
+    n_particles, cap = _spectrum_counts(n_particles, k_mode, u, volume, n_max_excited)
     dimension = _basis_size(cap)
     _require_states(dimension)
     states, offsets = _fock_basis(n_particles, cap)
@@ -283,7 +287,7 @@ def exact_fock_spectrum(
         gaps=excitations[:n_gaps].copy(),
         dimension=int(dimension),
         volume=float(volume),
-        n_max_excited=int(n_max_excited),
+        n_max_excited=cap,
         first_gap=first_gap,
         sector_minima=sector_minima,
     )

@@ -11,8 +11,7 @@ converged state,
     [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [dxi/dN; dmu/dN] = [-u xi^3; 0],
 
 whose solution is real and orthogonal to xi, so r0 vanishes by
-construction.  ``dxi_dN`` (finite differences of full solves) is kept as
-an independent check.  The r_k feed the corrected transition amplitudes
+construction.  The r_k feed the corrected transition amplitudes
 
     f_m = p_m - xi * sum_k r_k c_km
     g_m = q_m - xi * sum_k r_k s_km
@@ -51,29 +50,6 @@ class StationaryProblem:
             n_particles=n_particles,
             tol=self.tol,
         )
-
-
-def _align_phase(reference: ComplexField, other: ComplexField) -> ComplexField:
-    """Multiply by the phase making <reference, other> real positive."""
-    overlap = inner_product(reference, other)
-    phase = overlap / abs(overlap)
-    return ComplexField(other.values / phase, other.grid)
-
-
-def dxi_dN(problem: StationaryProblem, n_particles: float, delta_N: float) -> ComplexField:
-    """Central-difference derivative of the orbital with respect to N.
-
-    The solves at N +- delta_N are parallel-transport aligned (phase fixed
-    so the overlap with the N-point orbital is real positive) before
-    differencing.  Three full stationary solves: the independent check of
-    ``exact_dxi_dN``, whose result it approaches as O(delta_N^2).
-    """
-    if delta_N <= 0:
-        raise ConfigurationError("delta_N must be positive")
-    ref = problem.solve(n_particles)
-    plus = _align_phase(ref.xi, problem.solve(n_particles + delta_N).xi)
-    minus = _align_phase(ref.xi, problem.solve(n_particles - delta_N).xi)
-    return ComplexField((plus.values - minus.values) / (2.0 * delta_N), problem.grid)
 
 
 def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:

@@ -5,14 +5,16 @@
 real form of ``bogolib.bdg``.  ``plane_wave_basis`` gives the complex
 exp(ikx) modes of a uniform gas on a periodic grid.  ``split_step_final``
 is the spectral split-step loop of ``bogolib.tdgpe`` with a fresh array for
-every intermediate, the reference for its in-place step.
+every intermediate, the reference for its in-place step.  ``dxi_dN``
+differentiates three full stationary solves in N by central differences,
+the reference for the one bordered solve of ``number_shift.exact_dxi_dN``.
 """
 
 import numpy as np
 import scipy.linalg
 
 from bogolib.bdg import PhononBasis, QuadraticHamiltonian, QuasiparticleSpectrum
-from bogolib.grid import from_spectral, to_spectral
+from bogolib.grid import ComplexField, from_spectral, inner_product, to_spectral
 
 
 def colpa(qh: QuadraticHamiltonian, basis: PhononBasis) -> QuasiparticleSpectrum:
@@ -78,3 +80,25 @@ def split_step_final(state, n_steps, dt, potential_of_t, evolution="gpe"):
         w = potential_of_t((j - 1) * dt + 0.5 * dt) + u_eff * np.abs(mid) ** 2
         chi = full * to_spectral(grid, mid * np.exp(-1j * dt * w))
     return from_spectral(grid, half.conj() * chi)
+
+
+def _align_phase(reference: ComplexField, other: ComplexField) -> ComplexField:
+    """Multiply by the phase making <reference, other> real positive."""
+    overlap = inner_product(reference, other)
+    phase = overlap / abs(overlap)
+    return ComplexField(other.values / phase, other.grid)
+
+
+def dxi_dN(problem, n_particles: float, delta_N: float) -> ComplexField:
+    """Central-difference derivative of the orbital with respect to N.
+
+    ``problem`` is a ``number_shift.StationaryProblem``.  The solves at
+    N +- delta_N are parallel-transport aligned (phase fixed so the overlap
+    with the N-point orbital is real positive) before differencing.  The
+    result approaches ``exact_dxi_dN``'s as O(delta_N^2).
+    """
+    assert delta_N > 0
+    ref = problem.solve(n_particles)
+    plus = _align_phase(ref.xi, problem.solve(n_particles + delta_N).xi)
+    minus = _align_phase(ref.xi, problem.solve(n_particles - delta_N).xi)
+    return ComplexField((plus.values - minus.values) / (2.0 * delta_N), problem.grid)

@@ -25,8 +25,10 @@ from bogolib.homogeneous import (
     hydro_coefficients,
     number_conservation_offblock,
 )
-from bogolib.number_shift import StationaryProblem, dxi_dN, modified_amplitudes, phase_fix_and_r
+from bogolib.number_shift import StationaryProblem, modified_amplitudes, phase_fix_and_r
 from bogolib.tdgpe import TrapQuench, hr_diagnostic, propagate, propagate_modes
+
+from oracles import dxi_dN
 
 TWO_PI = 2.0 * np.pi
 

