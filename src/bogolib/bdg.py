@@ -299,15 +299,15 @@ def _quasiparticles(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = 
             f"and {g_matrix.dtype}"
         )
     try:
-        chol_a = scipy.linalg.cholesky(m_matrix + g_matrix, lower=True)
-        chol_b = scipy.linalg.cholesky(m_matrix - g_matrix, lower=True)
-    except scipy.linalg.LinAlgError:
+        chol_a = np.linalg.cholesky(m_matrix + g_matrix)
+        chol_b = np.linalg.cholesky(m_matrix - g_matrix)
+    except np.linalg.LinAlgError:
         raise _instability(m_matrix, g_matrix) from None
     core = chol_b.T @ chol_a
     if vectors:
-        _, sigma, right_t = scipy.linalg.svd(core)
+        _, sigma, right_t = np.linalg.svd(core)
     else:
-        sigma = scipy.linalg.svdvals(core)
+        sigma = np.linalg.svd(core, compute_uv=False)
     energies = sigma[::-1]
     if energies[0] <= 0.0:
         # Two successful Cholesky factors make the core nonsingular, unless
@@ -317,7 +317,7 @@ def _quasiparticles(m_matrix: np.ndarray, g_matrix: np.ndarray, vectors: bool = 
         return energies
     right = right_t[::-1].T
     root = np.sqrt(energies)
-    x = scipy.linalg.solve_triangular(chol_a, right * root, lower=True, trans="T")
+    x = np.linalg.solve(chol_a.T, right * root)
     y = chol_a @ (right / root)
     u, v = 0.5 * (x + y), 0.5 * (x - y)
     sign = np.sign(u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])])

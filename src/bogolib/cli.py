@@ -41,7 +41,7 @@ from .gpe import (
 )
 from .grid import ComplexField, build_grid, norm
 from .homogeneous import (
-    _spectrum_counts,
+    _check_fock_oracle,
     bogoliubov_dispersion,
     compare_asymptotics,
     exact_fock_spectrum,
@@ -276,11 +276,10 @@ def load_config(path: str) -> dict:
     if abs(phys["n_particles"] - round(phys["n_particles"])) > 0:
         raise ConfigurationError(f"{scenario} n_particles must be an integer")
     if scenario == "fock-oracle":
-        if "k_mode" not in phys:
-            raise ConfigurationError("fock-oracle needs [physics] k_mode")
-        if "n_max_excited" not in num:
-            raise ConfigurationError("fock-oracle needs [numerics] n_max_excited")
-        _spectrum_counts(
+        for section, key in (("physics", "k_mode"), ("numerics", "n_max_excited")):
+            if key not in config[section]:
+                raise ConfigurationError(f"fock-oracle needs [{section}] {key}")
+        _check_fock_oracle(
             phys["n_particles"], phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
         )
     return config
@@ -593,17 +592,12 @@ def run_homogeneous_check(config: dict, out: OutputWriter) -> dict:
 
 
 def run_fock_oracle(config: dict, out: OutputWriter) -> dict:
-    phys = config["physics"]
-    num = config["numerics"]
+    phys, num = config["physics"], config["numerics"]
     n_particles = int(round(phys["n_particles"]))
-    # The check's N and N-1 union is the larger basis, so its size guard
-    # runs before the spectrum is built.
-    offblock = number_conservation_offblock(
-        n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
-    )
-    spec = exact_fock_spectrum(
-        n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"]
-    )
+    args = (n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"])
+    _check_fock_oracle(*args)
+    offblock = number_conservation_offblock(*args)
+    spec = exact_fock_spectrum(*args)
     row = compare_asymptotics(spec, phys["u"] * n_particles).rows[0]
     out.csv(
         "sectors.csv",

@@ -157,13 +157,17 @@ def zero_potential(grid: Grid1D) -> ComplexField:
 
 
 def _harmonic_values(grid: Grid1D, omega: float) -> np.ndarray:
-    """omega^2 (x - L/2)^2 / 2 on the grid; ConfigurationError unless finite there."""
+    """omega^2 (x - L/2)^2 / 2 on the grid; ConfigurationError unless finite and nonzero there."""
     x = grid.points - grid.center
     with np.errstate(over="ignore", invalid="ignore"):
         values = 0.5 * np.float64(omega) ** 2 * x**2
     if not np.all(np.isfinite(values)):
         raise ConfigurationError(
             f"harmonic potential with omega = {omega!r} is not finite on the grid"
+        )
+    if not np.any(values):
+        raise ConfigurationError(
+            f"omega = {omega!r} gives a zero potential on the grid; use potential = none"
         )
     return values
 

@@ -161,6 +161,12 @@ def _require_states(n_states: int) -> None:
         raise ResourceError(f"Fock basis has {n_states} states (limit {MAX_FOCK_STATES})")
 
 
+def _check_fock_oracle(n_particles, k_mode, u, volume, n_max_excited) -> None:
+    """The checks of ``exact_fock_spectrum`` and ``number_conservation_offblock``, sizes too."""
+    n_particles, cap = _spectrum_counts(n_particles, k_mode, u, volume, n_max_excited)
+    _require_states(max(_basis_size(cap), 2 * _basis_size(min(cap, n_particles - 1))))
+
+
 def _fock_basis(n_particles: int, cap: int):
     """The sector chains s = -cap..cap stacked, and the offset of each."""
     blocks = [_sector_states(n_particles, cap, s) for s in range(-cap, cap + 1)]

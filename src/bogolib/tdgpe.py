@@ -29,8 +29,8 @@ and made of inner products, which S keeps, so the modes are carried as
 spectral coefficients too.  The loop only records the condensate of each
 step; every 32 steps, and at each snapshot, the maps of the steps since are
 composed in compact WY form and applied to the modes at once, by two matrix
-products.  Orthonormality and orthogonality to the condensate hold to
-round-off; both are measured at every snapshot, not repaired.
+products and one solve.  Orthonormality and orthogonality to the condensate
+hold to round-off; both are measured at every snapshot, not repaired.
 
 The central consistency check: the phonon-linear energy coefficients
 h2_k = <xi_k | (-1/2 d^2/dx^2 + V + u|xi|^2) xi> must cancel against the
@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
 from .errors import ConfigurationError, IntegratorError
@@ -109,9 +108,11 @@ class TrapRamp:
             raise ConfigurationError("ramp frequencies, t0 and t1 must be finite")
         if not self.t1 > self.t0:
             raise ConfigurationError(f"ramp needs t1 > t0, got t0 = {self.t0}, t1 = {self.t1}")
-        # Every frequency of the ramp lies between the two ends.
+        # Every frequency of the ramp lies between the two ends, which share a sign.
         _harmonic_values(self.grid, self.omega_from)
         _harmonic_values(self.grid, self.omega_to)
+        if np.sign(self.omega_from) != np.sign(self.omega_to):
+            raise ConfigurationError("ramp frequencies must have the same sign")
 
     def __call__(self, t: float) -> np.ndarray:
         if t <= self.t0:
@@ -187,11 +188,8 @@ class HrDiagnostic:
 
 def _fd_first_derivative_weights(offsets: np.ndarray) -> np.ndarray:
     """Weights w with sum w_i f(o_i h) = h f'(0) + O(h^5) for 5 offsets."""
-    p = np.arange(offsets.size)
-    vander = offsets[None, :].astype(float) ** p[:, None]
-    rhs = np.zeros(offsets.size)
-    rhs[1] = 1.0
-    return scipy.linalg.solve(vander, rhs)
+    vander = np.vander(offsets.astype(float), increasing=True).T
+    return np.linalg.solve(vander, np.eye(offsets.size)[1])
 
 
 # Steps per flush of the mode transport; a snapshot also flushes.  A step then
@@ -218,7 +216,7 @@ def _transport_block(phi: np.ndarray, window: np.ndarray, dx: float) -> tuple[np
     The maps compose to I + W^H T Z (compact WY form, Schreiber & Van Loan,
     SIAM J. Sci. Stat. Comput. 10, 53 (1989)), with T upper triangular and
     T^-1 = I/dx - striu(Z W^H) (Joffrain et al., ACM TOMS 32, 169 (2006)), so
-    the block moves by two GEMMs and one triangular solve.  Returns the carried
+    the block moves by two GEMMs and one solve with T^-1.  Returns the carried
     block and the common phase prod a_m/|a_m|, not applied; neither argument
     is written.
     """
@@ -233,12 +231,10 @@ def _transport_block(phi: np.ndarray, window: np.ndarray, dx: float) -> tuple[np
         w = r * (1.0 / np.where(s == 0.0, 1.0, s))[:, None]
         z = (np.abs(a) - 1.0)[:, None] * w - (s * phase)[:, None] * e[:-1]
         w_h = w.conj().T
-        t_inv = -(z @ w_h)
+        t_inv = -np.triu(z @ w_h, 1)
         np.fill_diagonal(t_inv, 1.0 / dx)
-    # x = (phi W^H) T solves x T^-1 = phi W^H from the right.  ztrsm reads only
-    # the upper triangle of t_inv, so its strict lower part is left as it is,
-    # and it makes no finiteness check, so a NaN reaches the modes.
-    x = scipy.linalg.blas.ztrsm(1.0, t_inv, phi @ w_h, side=1)
+    # x = (phi W^H) T solves x T^-1 = phi W^H from the right.
+    x = np.linalg.solve(t_inv.T, (phi @ w_h).T).T
     return phi + x @ z, np.prod(phase)
 
 

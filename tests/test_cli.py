@@ -206,6 +206,9 @@ MALFORMED_POTENTIALS = [
     "quench(0,1.2,0)",
     "quench(1,1.2,-1)",
     "ramp(1)",
+    # omega^2 underflows, so the trap would be a uniform gas.
+    "harmonic(1e-300)",
+    "quench(1.0,1e-300,0.0)",
 ]
 
 # (config, line, replacement, what the message names)
@@ -222,9 +225,10 @@ REJECTED_VALUES = [
 
 
 class TestRejectedByValidateAndRun:
-    """Each config exits 2 from validate and from run, and run makes no output directory."""
+    """Each config exits 2 (5 for a size limit) from validate and from run, and run makes
+    no output directory."""
 
-    def check(self, tmp_path, monkeypatch, capsys, config, old, new, match):
+    def check(self, tmp_path, monkeypatch, capsys, config, old, new, match, code=2):
         text = (SHIPPED_CONFIGS[0].parent / config).read_text()
         assert old in text
         path = tmp_path / config
@@ -232,7 +236,7 @@ class TestRejectedByValidateAndRun:
         outdir = tmp_path / "out"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
         for command in ("validate", "run"):
-            assert main([command, str(path)]) == 2, command
+            assert main([command, str(path)]) == code, command
             assert match in capsys.readouterr().err, command
         assert not outdir.exists()
 
@@ -246,6 +250,16 @@ class TestRejectedByValidateAndRun:
     @pytest.mark.parametrize("config, old, new, match", REJECTED_VALUES)
     def test_rejected_value_names_key(self, tmp_path, monkeypatch, capsys, config, old, new, match):
         self.check(tmp_path, monkeypatch, capsys, config, old, new, match)
+
+    def test_oversized_fock_union_exits_5(self, tmp_path, monkeypatch, capsys):
+        # The spectrum's basis at cap 500 fits; the N and N-1 union of the
+        # number-conservation check (2 * 501 * 502 / 2 states) does not.
+        old = "n_particles = 40\nvolume = 1.0\nk_mode = 1.0\n\n[numerics]\nn_max_excited = 40"
+        new = old.replace("= 40", "= 1000", 1).replace("= 40", "= 500")
+        self.check(
+            tmp_path, monkeypatch, capsys, "fock_oracle.ini", old, new,
+            "Fock basis has 251502 states", code=5,
+        )
 
 
 class TestRun:

@@ -525,6 +525,13 @@ class TestFunctionals:
         with pytest.raises(ConfigurationError, match="not finite on the grid"):
             harmonic_potential(grid, omega)
 
+    @pytest.mark.parametrize("omega", [0.0, 1e-300])
+    def test_harmonic_potential_rejects_a_uniform_gas(self, omega):
+        # omega^2 underflows at 1e-300: the potential is zero at every point.
+        grid = build_grid(64, 8.0, "box")
+        with pytest.raises(ConfigurationError, match="potential = none"):
+            harmonic_potential(grid, omega)
+
     def test_harmonic_zero_point(self, trap_states):
         state = trap_states[0.0]
         assert chemical_potential(state) == pytest.approx(0.5, abs=1e-10)

@@ -777,8 +777,14 @@ class TestTimeDependentPotentials:
             ((1.0, 1.2, 1.0, 0.5), "t1 > t0"),
             ((1.0, 1.2, 1.0, 1.0), "t1 > t0"),
             ((1.0, 1e200, 0.0, 1.0), "not finite on the grid"),
+            ((1.0, 1e-300, 0.0, 1.0), "potential = none"),
+            # omega passes through 0 halfway: a zero potential in mid-run.
+            ((-1.0, 1.0, 0.0, 1.0), "same sign"),
         ],
-        ids=["nan-from", "nan-to", "inf-t0", "inf-t1", "t1-before-t0", "t1-at-t0", "overflow"],
+        ids=[
+            "nan-from", "nan-to", "inf-t0", "inf-t1", "t1-before-t0", "t1-at-t0", "overflow",
+            "underflow", "sign-change",
+        ],
     )
     def test_ramp_rejects_bad_parameters(self, trap_grid, params, match):
         with pytest.raises(ConfigurationError, match=match):
