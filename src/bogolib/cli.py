@@ -52,6 +52,7 @@ from .homogeneous import (
 from .number_shift import StationaryProblem, build_report
 from .tdgpe import (
     TrapQuench,
+    _check_snapshot_bytes,
     _step_count,
     center_of_mass,
     hr_diagnostic,
@@ -70,6 +71,17 @@ SCENARIOS = (
 
 GRID_SCENARIOS = {"stationary", "spectrum", "dynamics", "number-shift"}
 BASIS_SCENARIOS = {"spectrum", "dynamics", "number-shift"}
+
+_GRID_PHYSICS = ("u_tilde", "u", "n_particles", "potential")
+# The [physics] keys each scenario reads; a config that writes any other is refused.
+PHYSICS_KEYS = {
+    "stationary": _GRID_PHYSICS,
+    "spectrum": _GRID_PHYSICS,
+    "dynamics": _GRID_PHYSICS,
+    "number-shift": ("u", "n_particles", "potential"),
+    "homogeneous-check": ("u", "n_particles", "volume"),
+    "fock-oracle": ("u", "n_particles", "volume", "k_mode"),
+}
 
 OUTPUT_DIR_ENV = "BOGOLIB_OUTPUT_DIR"
 
@@ -242,6 +254,16 @@ def load_config(path: str) -> dict:
 
     scenario = config["scenario"]["name"]
     phys, num = config["physics"], config["numerics"]
+    # What the file holds, not the resolved dict: potential defaults to "none".
+    unread = [
+        key for key in SCHEMA["physics"]
+        if parser.has_option("physics", key) and key not in PHYSICS_KEYS[scenario]
+    ]
+    if unread:
+        raise ConfigurationError(
+            f"[physics] {', '.join(unread)} not read by scenario {scenario}; it reads "
+            f"{', '.join(PHYSICS_KEYS[scenario])}"
+        )
     if scenario in GRID_SCENARIOS:
         for key in SCHEMA["grid"]:
             if key not in config["grid"]:
@@ -250,12 +272,10 @@ def load_config(path: str) -> dict:
         num.setdefault("tol", default_tol(grid))
         has_ut = "u_tilde" in phys
         has_un = "u" in phys and "n_particles" in phys
-        if scenario == "number-shift":
-            if not has_un:
-                raise ConfigurationError("number-shift needs physical u and n_particles")
-            if has_ut:
-                raise ConfigurationError("give (u, n_particles), not u_tilde")
-        elif has_ut == has_un:
+        if scenario == "number-shift" and not has_un:
+            raise ConfigurationError("number-shift needs physical u and n_particles")
+        # u without n_particles is unread, also next to u_tilde.
+        if has_ut == has_un or ("u" in phys and not has_un):
             raise ConfigurationError(
                 "specify exactly one of u_tilde or the pair (u, n_particles)"
             )
@@ -263,9 +283,11 @@ def load_config(path: str) -> dict:
         if _potentials(phys["potential"], grid)[1] is not None and scenario != "dynamics":
             raise ConfigurationError("quench potentials are only for dynamics runs")
         if scenario in BASIS_SCENARIOS:
-            _check_mode_count(grid, _default_k_modes(config, grid))
+            k_modes = _default_k_modes(config, grid)
+            _check_mode_count(grid, k_modes)
         if scenario == "dynamics":
-            _step_count(num["t_final"], num["dt"])
+            n_steps = _step_count(num["t_final"], num["dt"])
+            _check_snapshot_bytes(grid.n_points, k_modes, n_steps, config["output"]["stride"])
         return config
 
     if config["grid"]:
@@ -595,7 +617,6 @@ def run_fock_oracle(config: dict, out: OutputWriter) -> dict:
     phys, num = config["physics"], config["numerics"]
     n_particles = int(round(phys["n_particles"]))
     args = (n_particles, phys["k_mode"], phys["u"], phys["volume"], num["n_max_excited"])
-    _check_fock_oracle(*args)
     offblock = number_conservation_offblock(*args)
     spec = exact_fock_spectrum(*args)
     row = compare_asymptotics(spec, phys["u"] * n_particles).rows[0]

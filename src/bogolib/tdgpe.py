@@ -51,12 +51,19 @@ from typing import Callable
 import numpy as np
 
 from .bdg import PhononBasis, QuadraticHamiltonian, assemble_from_fields
-from .errors import ConfigurationError, IntegratorError
+from .errors import ConfigurationError, IntegratorError, ResourceError
 from .gpe import CondensateState, _gp_operator, _harmonic_values
 from .grid import (ComplexField, Grid1D, _check_same_grid, from_spectral, inner_product, norm,
                    spectral_kernels, to_spectral)
 
 EVOLUTIONS = ("gpe", "linear")
+
+# Bytes a trajectory with modes may store: the modes and dxi/dt at every
+# snapshot, and the fine steps of the derivative stencils, which the condensate
+# snapshots share.  With the numeric defaults alone (dt = 1e-3, t_final = 10,
+# stride = 10, K = n/4: 1001 snapshots) a grid of n = 512 stores 1.1 GB and
+# one of n = 1024 4.3 GB.
+MAX_SNAPSHOT_BYTES = 2 * 1024**3
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +253,20 @@ def _step_count(t_final: float, dt: float) -> int:
     if n_steps < 5 or abs(n_steps * dt - t_final) > 1e-9 * max(1.0, t_final):
         raise ConfigurationError("t_final must be a finite multiple of dt (and >= 5 steps)")
     return n_steps
+
+
+def _check_snapshot_bytes(n_points: int, k_modes: int, n_steps: int, stride: int) -> None:
+    """ResourceError if a run with K modes would store more than MAX_SNAPSHOT_BYTES."""
+    n_snapshots = -(-n_steps // stride) + 1
+    # Each snapshot's stencil is 5 fine steps, the snapshot among them.
+    n_states = min(n_steps + 1, 5 * n_snapshots)
+    stored = 16 * n_points * (n_snapshots * (k_modes + 1) + n_states)
+    if stored > MAX_SNAPSHOT_BYTES:
+        raise ResourceError(
+            f"{n_snapshots} snapshots of {k_modes} modes on {n_points} points store "
+            f"{stored / 1e9:.1f} GB (limit {MAX_SNAPSHOT_BYTES / 1e9:.1f} GB); "
+            "raise the stride or lower t_final or k_modes"
+        )
 
 
 def _evolve(xi0, grid, u_tilde, n_particles, pot, t_final, dt, stride, evolution, basis):

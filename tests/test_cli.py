@@ -83,6 +83,17 @@ def write_config(tmp_path, text, name="config.ini", **fmt):
     return str(path)
 
 
+def edit_config(tmp_path, config, *edits):
+    """Path of a copy of the shipped config with each (old, new) replacement made."""
+    text = (SHIPPED_CONFIGS[0].parent / config).read_text()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / config
+    path.write_text(text)
+    return str(path)
+
+
 class TestValidate:
     def test_valid_file_echoes_normalized_config(self, tmp_path, capsys):
         path = write_config(tmp_path, UNIFORM_SPECTRUM, outdir=tmp_path / "out")
@@ -171,11 +182,7 @@ class TestValidate:
     )
     def test_rejects_what_run_rejects(self, tmp_path, capsys, config, old, new, match):
         # Each config is one that run refuses; validate refuses it too, before any solve.
-        text = (SHIPPED_CONFIGS[0].parent / config).read_text()
-        assert old in text
-        path = tmp_path / config
-        path.write_text(text.replace(old, new))
-        assert main(["validate", str(path)]) == 2
+        assert main(["validate", edit_config(tmp_path, config, (old, new))]) == 2
         assert match in capsys.readouterr().err
 
     def test_unknown_section_rejected(self, tmp_path):
@@ -196,6 +203,7 @@ class TestValidate:
 
 
 MALFORMED_POTENTIALS = [
+    "quench(1.0,1.2,nan)",
     "harmonic()",
     "harmonic(x)",
     "harmonic(1,2)",
@@ -221,6 +229,19 @@ REJECTED_VALUES = [
     # An integer past 2**64 reaches the mode-count check, not a crash.
     ("dynamics_quench.ini", "k_modes = 24", "k_modes = 100000000000000000000000000000", "K must be"),
     ("fock_oracle.ini", "n_max_excited = 40", "n_max_excited = 41", "n_max_excited"),
+    # [physics] keys the scenario never reads.
+    ("stationary_harmonic.ini", "u_tilde = 0.0", "u_tilde = 2.0\nu = 0.5", "exactly one of u_tilde"),
+    ("homogeneous_check.ini", "volume = 100.0", "volume = 100.0\nu_tilde = 7.0", "[physics] u_tilde not read"),
+    (
+        "homogeneous_check.ini", "volume = 100.0", "volume = 100.0\npotential = harmonic(2.0)",
+        "[physics] potential not read",
+    ),
+    (
+        "stationary_harmonic.ini", "potential = harmonic(1.0)",
+        "potential = harmonic(1.0)\nk_mode = 1.0\nvolume = 1.0",
+        "[physics] k_mode, volume not read by scenario stationary",
+    ),
+    ("number_shift_trap.ini", "u = 0.1", "u = 0.1\nu_tilde = 10.0", "[physics] u_tilde not read"),
 ]
 
 
@@ -228,38 +249,45 @@ class TestRejectedByValidateAndRun:
     """Each config exits 2 (5 for a size limit) from validate and from run, and run makes
     no output directory."""
 
-    def check(self, tmp_path, monkeypatch, capsys, config, old, new, match, code=2):
-        text = (SHIPPED_CONFIGS[0].parent / config).read_text()
-        assert old in text
-        path = tmp_path / config
-        path.write_text(text.replace(old, new))
+    def check(self, tmp_path, monkeypatch, capsys, path, match, code=2):
         outdir = tmp_path / "out"
         monkeypatch.setenv(OUTPUT_DIR_ENV, str(outdir))
         for command in ("validate", "run"):
-            assert main([command, str(path)]) == code, command
+            assert main([command, path]) == code, command
             assert match in capsys.readouterr().err, command
         assert not outdir.exists()
 
     @pytest.mark.parametrize("spec", MALFORMED_POTENTIALS)
     def test_malformed_potential_names_spec(self, tmp_path, monkeypatch, capsys, spec):
-        old = "potential = quench(1.0,1.2,0.0)"
-        self.check(
-            tmp_path, monkeypatch, capsys, "dynamics_quench.ini", old, f"potential = {spec}", spec
-        )
+        edit = ("potential = quench(1.0,1.2,0.0)", f"potential = {spec}")
+        path = edit_config(tmp_path, "dynamics_quench.ini", edit)
+        self.check(tmp_path, monkeypatch, capsys, path, spec)
 
     @pytest.mark.parametrize("config, old, new, match", REJECTED_VALUES)
     def test_rejected_value_names_key(self, tmp_path, monkeypatch, capsys, config, old, new, match):
-        self.check(tmp_path, monkeypatch, capsys, config, old, new, match)
+        self.check(tmp_path, monkeypatch, capsys, edit_config(tmp_path, config, (old, new)), match)
 
     def test_oversized_fock_union_exits_5(self, tmp_path, monkeypatch, capsys):
         # The spectrum's basis at cap 500 fits; the N and N-1 union of the
         # number-conservation check (2 * 501 * 502 / 2 states) does not.
         old = "n_particles = 40\nvolume = 1.0\nk_mode = 1.0\n\n[numerics]\nn_max_excited = 40"
         new = old.replace("= 40", "= 1000", 1).replace("= 40", "= 500")
-        self.check(
-            tmp_path, monkeypatch, capsys, "fock_oracle.ini", old, new,
-            "Fock basis has 251502 states", code=5,
+        path = edit_config(tmp_path, "fock_oracle.ini", (old, new))
+        self.check(tmp_path, monkeypatch, capsys, path, "Fock basis has 251502 states", code=5)
+
+    @pytest.mark.parametrize("n_points, gigabytes", [(1024, "4.3"), (2048, "17.0")])
+    def test_default_dynamics_snapshots_exit_5(
+        self, tmp_path, monkeypatch, capsys, n_points, gigabytes
+    ):
+        # Only the grid given: dt = 1e-3, t_final = 10, stride = 10 and K = n/4
+        # keep 1001 snapshots of the modes.
+        path = edit_config(
+            tmp_path, "dynamics_quench.ini",
+            ("n_points = 128", f"n_points = {n_points}"),
+            ("[numerics]\ndt = 2e-4\nt_final = 1.0\nk_modes = 24\n\n", ""),
+            ("stride = 500\n", ""),
         )
+        self.check(tmp_path, monkeypatch, capsys, path, f"store {gigabytes} GB", code=5)
 
 
 class TestRun:
