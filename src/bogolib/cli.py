@@ -1,8 +1,9 @@
 """Scenario-driven command line: parse a config, run, serialize results.
 
 Config files are INI-style with sections ``[scenario]``, ``[grid]``,
-``[physics]``, ``[numerics]`` and ``[output]``; unknown sections or keys
-are rejected so typos cannot silently change the physics.  Scalar results
+``[physics]``, ``[numerics]`` and ``[output]``; unknown sections or keys,
+and ``[physics]`` or ``[numerics]`` keys the scenario does not read, are
+rejected so typos cannot silently change the physics.  Scalar results
 land in ``summary.json`` (deterministic: resolved config included, no
 wall-clock data), arrays in CSV files; timing, version info and what the
 solvers did (the stationary ``SolveTrace``) go to the separate
@@ -73,14 +74,22 @@ GRID_SCENARIOS = {"stationary", "spectrum", "dynamics", "number-shift"}
 BASIS_SCENARIOS = {"spectrum", "dynamics", "number-shift"}
 
 _GRID_PHYSICS = ("u_tilde", "u", "n_particles", "potential")
-# The [physics] keys each scenario reads; a config that writes any other is refused.
-PHYSICS_KEYS = {
-    "stationary": _GRID_PHYSICS,
-    "spectrum": _GRID_PHYSICS,
-    "dynamics": _GRID_PHYSICS,
-    "number-shift": ("u", "n_particles", "potential"),
-    "homogeneous-check": ("u", "n_particles", "volume"),
-    "fock-oracle": ("u", "n_particles", "volume", "k_mode"),
+_UNIFORM_PHYSICS = ("u", "n_particles", "volume")
+# The [physics] and [numerics] keys each scenario reads; a config that
+# writes any other is refused.
+READ_KEYS = {
+    "stationary": {"physics": _GRID_PHYSICS, "numerics": ("tol",)},
+    "spectrum": {"physics": _GRID_PHYSICS, "numerics": ("tol", "k_modes")},
+    "dynamics": {
+        "physics": _GRID_PHYSICS,
+        "numerics": ("tol", "k_modes", "dt", "t_final", "evolution"),
+    },
+    "number-shift": {
+        "physics": ("u", "n_particles", "potential"),
+        "numerics": ("tol", "k_modes"),
+    },
+    "homogeneous-check": {"physics": _UNIFORM_PHYSICS, "numerics": ()},
+    "fock-oracle": {"physics": (*_UNIFORM_PHYSICS, "k_mode"), "numerics": ("n_max_excited",)},
 }
 
 OUTPUT_DIR_ENV = "BOGOLIB_OUTPUT_DIR"
@@ -254,16 +263,17 @@ def load_config(path: str) -> dict:
 
     scenario = config["scenario"]["name"]
     phys, num = config["physics"], config["numerics"]
-    # What the file holds, not the resolved dict: potential defaults to "none".
-    unread = [
-        key for key in SCHEMA["physics"]
-        if parser.has_option("physics", key) and key not in PHYSICS_KEYS[scenario]
-    ]
-    if unread:
-        raise ConfigurationError(
-            f"[physics] {', '.join(unread)} not read by scenario {scenario}; it reads "
-            f"{', '.join(PHYSICS_KEYS[scenario])}"
-        )
+    # What the file holds, not the resolved dict: potential, dt and others
+    # have defaults, and tol is resolved from the grid below.
+    for section, read in READ_KEYS[scenario].items():
+        unread = [
+            key for key in SCHEMA[section] if parser.has_option(section, key) and key not in read
+        ]
+        if unread:
+            raise ConfigurationError(
+                f"[{section}] {', '.join(unread)} not read by scenario {scenario}; it reads "
+                f"{', '.join(read) or 'none'}"
+            )
     if scenario in GRID_SCENARIOS:
         for key in SCHEMA["grid"]:
             if key not in config["grid"]:

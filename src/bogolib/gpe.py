@@ -27,13 +27,21 @@ in three stages.
    complement of xi near the ground state for every u_tilde >= 0 (J
    itself is singular along xi at u_tilde = 0), so one CG solve serves
    each step.  This is Newton-Krylov in the sense of Knoll &
-   Keyes, J. Comput. Phys. 193, 357 (2004).  Newton stops as soon as a step
-   fails to halve the residual: that residual is the round-off floor of the
-   grid.  A floor above ``tol`` is a ``ConvergenceError`` that names it.
+   Keyes, J. Comput. Phys. 193, 357 (2004), and inexact Newton in the
+   sense of Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19, 400
+   (1982): a step's CG stops at a tenth of eps (lambda_max(T) +
+   max|V + 3 u_tilde xi^2 - mu|) |xi|, the size of the round-off in J xi
+   and so of the residual floor, unless 1e-14 |rhs| is larger.  Without
+   that bound, a target relative to the small right-hand side near
+   convergence falls below what J resolves, and tight traps fail in CG.
+   Newton stops as soon as a step fails to halve the residual: that
+   residual is the round-off floor of the grid.  A floor above ``tol`` is
+   a ``ConvergenceError`` that names it.
    The default ``tol`` tracks that floor (see ``default_tol``).  The same
    solve at the converged state gives the exact N-derivative of the orbital
    (see ``number_shift.exact_dxi_dN``), with right-hand side
-   [-(u_tilde/N) xi^3; 0].
+   [-(u_tilde/N) xi^3; 0]; that solve keeps the relative target 1e-14 |rhs|
+   alone, since its right-hand side is not small.
 3. Certificate: in 1-D the ground state is the only stationary state with
    no sign change (counted above ``_NODE_FLOOR`` max|xi|), so a result
    whose sign changes is an excited state, and the solve raises a
@@ -124,9 +132,17 @@ _LINE_SEARCH_HALVINGS = 40
 # Safety cap on Newton steps; each kept step at least halves the residual.
 _NEWTON_MAX_STEPS = 40
 # CG stops once its residual is below _CG_RTOL times the norm of the
-# right-hand side; it has taken 20-35 iterations on box and periodic
-# grids with n = 128-8192, u_tilde = 0-50 and omega = 1, and 37-65 at omega = 3.
+# right-hand side; a Newton step's CG stops earlier, at _CG_FLOOR_FRACTION
+# times the round-off scale eps |J| |psi| (``_solve_linearized``).  Over
+# box and periodic grids with n = 128-8192, u_tilde = 0, 2 and 50 (L = 16),
+# a Newton step took 1-21 CG iterations at omega = 1 and 1-38 at omega = 3
+# (20-35 and 37-65 with the relative target alone), and the largest
+# converged residual stayed at 0.57 and 0.40 of ``default_tol``.  A
+# fraction of 0.01 cost 15-20% more iterations and still failed in CG on a
+# box harmonic(300) trap at n = 4096; 1.0 left the residual of harmonic(60)
+# to harmonic(300) traps above ``default_tol``.
 _CG_RTOL = 1e-14
+_CG_FLOOR_FRACTION = 0.1
 _CG_MAX_ITERS = 300
 # The residual floor of a converged solve is 0.37-0.90 eps lambda_max(T)
 # (box and periodic grids, n = 1024-8192, u_tilde = 2 and 50, omega = 1
@@ -203,7 +219,7 @@ def _gp_operator(grid, v_real, u_tilde, psi, t_psi=None):
     return h_psi, kin + pot + u_tilde * quart, kin + pot + 0.5 * u_tilde * quart
 
 
-def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
+def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs, *, newton_step=False):
     """Solve the bordered system of the module docstring for (d, m).
 
     [[J, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0] for the real orbital
@@ -212,8 +228,11 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     psi^2 - mu|, on the coefficients of ``grid.to_spectral``, which is
     orthonormal, so norms and inner products carry over.  CG stops once
     its residual is at most _CG_RTOL |rhs|, so a right-hand side along psi
-    gives d = 0 without iterating.  Returns (d, m, CG iterations), d a
-    contiguous float64 array.
+    gives d = 0 without iterating.  With ``newton_step`` (the Newton loop
+    of ``solve_stationary``) it stops at the larger of that and
+    _CG_FLOOR_FRACTION eps (lambda_max(T) + max|V + 3 u_tilde psi^2 - mu|)
+    |psi|, a tenth of the round-off in J psi.  Returns (d, m, CG
+    iterations), d a contiguous float64 array.
 
     Raises ``ConvergenceError`` if CG meets non-positive curvature (P J P
     not positive definite at psi) or does not converge in _CG_MAX_ITERS.
@@ -237,6 +256,9 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs):
     d_t = np.zeros_like(e_t)
     r = project(to_spectral(grid, rhs))
     target = _CG_RTOL * np.linalg.norm(rhs)
+    if newton_step:
+        scale = np.max(lam) + np.max(np.abs(diag))
+        target = max(target, _CG_FLOOR_FRACTION * np.finfo(float).eps * scale * psi_norm)
     iterations = 0
     if np.linalg.norm(r) > target:
         z = project(inverse * r)
@@ -403,7 +425,9 @@ def solve_stationary(
         stop = f"took {_NEWTON_MAX_STEPS} steps without reaching its floor"
         for _ in range(_NEWTON_MAX_STEPS):
             try:
-                step, _, cg_iters = _solve_linearized(grid, v_real, u_tilde, psi, mu, -r_vec)
+                step, _, cg_iters = _solve_linearized(
+                    grid, v_real, u_tilde, psi, mu, -r_vec, newton_step=True
+                )
             except ConvergenceError as exc:
                 reason, cause = "failed linear solve", exc
                 stop = f"failed to solve for its step: {exc}"

@@ -242,6 +242,27 @@ REJECTED_VALUES = [
         "[physics] k_mode, volume not read by scenario stationary",
     ),
     ("number_shift_trap.ini", "u = 0.1", "u = 0.1\nu_tilde = 10.0", "[physics] u_tilde not read"),
+    # [numerics] keys the scenario never reads; tol counts only when the file writes it.
+    (
+        "spectrum_uniform.ini", "k_modes = 16", "k_modes = 16\ndt = 0.5\nn_max_excited = 3",
+        "[numerics] dt, n_max_excited not read by scenario spectrum",
+    ),
+    (
+        "fock_oracle.ini", "n_max_excited = 40", "n_max_excited = 40\nk_modes = 5\ntol = 1e-3",
+        "[numerics] tol, k_modes not read by scenario fock-oracle",
+    ),
+    (
+        "homogeneous_check.ini", "[output]", "[numerics]\ntol = 1e-3\n\n[output]",
+        "[numerics] tol not read by scenario homogeneous-check; it reads none",
+    ),
+    (
+        "stationary_harmonic.ini", "[output]", "[numerics]\nk_modes = 8\n\n[output]",
+        "[numerics] k_modes not read by scenario stationary",
+    ),
+    (
+        "number_shift_trap.ini", "k_modes = 32", "k_modes = 32\nevolution = linear",
+        "[numerics] evolution not read by scenario number-shift",
+    ),
 ]
 
 

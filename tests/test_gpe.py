@@ -372,13 +372,14 @@ class TestLinearizedSolve:
 
 
 class TestNewtonPolish:
+    @pytest.mark.parametrize("omega", [1.0, 3.0])
     @pytest.mark.parametrize("boundary", ["box", "periodic"])
     @pytest.mark.parametrize("n_points", [128, 512, 1024, 2048, 4096])
-    def test_ladder_converges_in_few_solves(self, monkeypatch, boundary, n_points):
+    def test_ladder_converges_in_few_solves(self, monkeypatch, boundary, n_points, omega):
         spy = SolveSpy()
         monkeypatch.setattr(gpe, "_solve_linearized", spy)
         grid = build_grid(n_points, 16.0, boundary)
-        state = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
+        state = solve_stationary(grid, harmonic_potential(grid, omega), u_tilde=10.0)
         trace = state.trace
         assert state.residual <= default_tol(grid)
         assert state.residual == pytest.approx(gpe_residual(state))
@@ -386,6 +387,35 @@ class TestNewtonPolish:
         assert 1 <= trace.newton_steps == spy.calls <= 6
         assert all(0 < k <= 60 for k in trace.cg_iterations)
         assert state.residual == min(trace.residuals)
+
+    @pytest.mark.parametrize("u_tilde", [2.0, 20.0])
+    def test_steps_stop_at_the_round_off_scale(self, u_tilde):
+        # Each step's CG stops at a tenth of eps |J| |psi|, not at 1e-14 |rhs|,
+        # which near convergence lies far below what the grid can resolve.
+        grid = build_grid(1024, 16.0, "box")
+        state = solve_stationary(grid, harmonic_potential(grid), u_tilde)
+        assert state.residual <= default_tol(grid)
+        assert state.trace.stop_reason == "round-off floor"
+        assert sum(state.trace.cg_iterations) <= 30
+
+    @pytest.mark.parametrize(
+        "n_points, boundary, omega",
+        [
+            (1024, "box", 100.0),
+            (1024, "periodic", 100.0),
+            (1024, "box", 60.0),
+            pytest.param(4096, "box", 300.0, marks=pytest.mark.slow),
+        ],
+    )
+    def test_tight_trap_converges(self, n_points, boundary, omega):
+        # |J| >= max V = omega^2 L^2 / 8: a CG target relative to the small
+        # Newton right-hand side alone would lie below J's round-off, out of
+        # the CG's reach.
+        grid = build_grid(n_points, 16.0, boundary)
+        state = solve_stationary(grid, harmonic_potential(grid, omega), u_tilde=2.0)
+        assert state.residual <= default_tol(grid)
+        assert state.residual == pytest.approx(gpe_residual(state))
+        assert state.trace.stop_reason == "round-off floor"
 
     def test_floor_above_tol_fails_fast_and_names_it(self, monkeypatch):
         # At n=2048 on this box the round-off floor (about 1.2e-11) lies
