@@ -174,11 +174,28 @@ def _single_particle_modes(
     parameters and the potential's bytes), never by object identity:
     grids and fields hash by id, and an id can be reused after garbage
     collection.
+
+    T + V is built in the one n x n buffer ``kinetic_matrix`` returns,
+    which LAPACK then overwrites: its transpose is a Fortran-ordered view,
+    so scipy neither copies it nor checks it for finiteness (V is checked
+    here instead), and the eigenvectors are scaled in place.  A cold build
+    peaks at about 8(n^2 + (K+1) n) bytes.  T is exactly symmetric, so
+    LAPACK reads the same triangle as from a C-ordered copy and the
+    vectors are the same bit for bit.
     """
+    values = np.frombuffer(potential)
+    # LAPACK given a non-finite entry returns no eigenpairs and no error;
+    # a state refuses such a potential, but its array can be written later.
+    if not np.all(np.isfinite(values)):
+        raise ConfigurationError("the potential must be finite")
     grid = build_grid(n_points, length, boundary)
-    h0 = kinetic_matrix(grid) + np.diag(np.frombuffer(potential))
-    _, vecs = scipy.linalg.eigh(h0, subset_by_index=[0, K])
-    modes = vecs.T / np.sqrt(grid.dx)
+    h0 = kinetic_matrix(grid)
+    h0.flat[:: n_points + 1] += values
+    _, vecs = scipy.linalg.eigh(
+        h0.T, subset_by_index=[0, K], overwrite_a=True, check_finite=False
+    )
+    vecs /= np.sqrt(grid.dx)
+    modes = vecs.T
     modes.flags.writeable = False
     return modes
 

@@ -2,12 +2,12 @@
 
 Config files are INI-style with sections ``[scenario]``, ``[grid]``,
 ``[physics]``, ``[numerics]`` and ``[output]``; unknown sections or keys,
-and ``[physics]`` or ``[numerics]`` keys the scenario does not read, are
-rejected so typos cannot silently change the physics.  Scalar results
-land in ``summary.json`` (deterministic: resolved config included, no
-wall-clock data), arrays in CSV files; timing, version info and what the
-solvers did (the stationary ``SolveTrace``) go to the separate
-``run_meta.json``.
+and ``[physics]``, ``[numerics]`` or ``[output]`` keys the scenario does
+not read, are rejected so typos cannot silently change the physics.
+Scalar results land in ``summary.json`` (deterministic: resolved config
+included, no wall-clock data), arrays in CSV files; timing, version info
+and what the solvers did (the stationary ``SolveTrace``) go to the
+separate ``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver/integrator
 failure, 4 instability detected (a spectrum run still writes its outputs;
@@ -75,21 +75,28 @@ BASIS_SCENARIOS = {"spectrum", "dynamics", "number-shift"}
 
 _GRID_PHYSICS = ("u_tilde", "u", "n_particles", "potential")
 _UNIFORM_PHYSICS = ("u", "n_particles", "volume")
-# The [physics] and [numerics] keys each scenario reads; a config that
-# writes any other is refused.
+_OUTPUT = ("directory", "formats")
+# The [physics], [numerics] and [output] keys each scenario reads; a config
+# that writes any other is refused.
 READ_KEYS = {
-    "stationary": {"physics": _GRID_PHYSICS, "numerics": ("tol",)},
-    "spectrum": {"physics": _GRID_PHYSICS, "numerics": ("tol", "k_modes")},
+    "stationary": {"physics": _GRID_PHYSICS, "numerics": ("tol",), "output": _OUTPUT},
+    "spectrum": {"physics": _GRID_PHYSICS, "numerics": ("tol", "k_modes"), "output": _OUTPUT},
     "dynamics": {
         "physics": _GRID_PHYSICS,
         "numerics": ("tol", "k_modes", "dt", "t_final", "evolution"),
+        "output": (*_OUTPUT, "stride"),
     },
     "number-shift": {
         "physics": ("u", "n_particles", "potential"),
         "numerics": ("tol", "k_modes"),
+        "output": _OUTPUT,
     },
-    "homogeneous-check": {"physics": _UNIFORM_PHYSICS, "numerics": ()},
-    "fock-oracle": {"physics": (*_UNIFORM_PHYSICS, "k_mode"), "numerics": ("n_max_excited",)},
+    "homogeneous-check": {"physics": _UNIFORM_PHYSICS, "numerics": (), "output": _OUTPUT},
+    "fock-oracle": {
+        "physics": (*_UNIFORM_PHYSICS, "k_mode"),
+        "numerics": ("n_max_excited",),
+        "output": _OUTPUT,
+    },
 }
 
 OUTPUT_DIR_ENV = "BOGOLIB_OUTPUT_DIR"

@@ -117,6 +117,9 @@ class CondensateState:
     def __post_init__(self):
         if np.iscomplexobj(self.potential.values):
             raise ConfigurationError("a state's potential must be float64, not complex-typed")
+        # The T + V eigensolve behind the phonon basis skips scipy's finiteness check.
+        if not np.all(np.isfinite(self.potential.values)):
+            raise ConfigurationError("a state's potential must be finite")
 
     @property
     def grid(self) -> Grid1D:

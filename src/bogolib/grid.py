@@ -296,7 +296,8 @@ def kinetic_matrix(grid: Grid1D) -> np.ndarray:
     with the orthonormal DST-I S is Toeplitz minus Hankel: with 0-based
     indices, T_ij = c(|i - j|) - c(i + j + 2), where
     c(m) = (1/(n+1)) sum_k lambda_k cos(pi k m / (n+1)) is the real part
-    of one FFT of length 2(n+1).
+    of one FFT of length 2(n+1).  Both are exactly symmetric, and each
+    call returns a fresh C-ordered array that the caller may overwrite.
     """
     n = grid.n_points
     if grid.boundary == "periodic":

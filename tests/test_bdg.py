@@ -1,4 +1,9 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +231,85 @@ class TestSingleParticleMemo:
         info = bdg._single_particle_modes.cache_info()
         assert info.misses == 8
         assert info.currsize <= info.maxsize
+
+    @pytest.mark.parametrize("boundary", ["box", "periodic"])
+    @pytest.mark.parametrize(("n_points", "K"), [(128, 32), (1024, 64)])
+    def test_in_place_solve_is_bit_identical_to_a_copied_one(self, eigh_calls, boundary, n_points, K):
+        # The memo solves T + V in kinetic_matrix's own buffer; the vectors
+        # must equal those of T + diag(V) formed as a new C-ordered matrix.
+        grid = build_grid(n_points, 16.0, boundary)
+        potential = harmonic_potential(grid).values
+        memo = bdg._single_particle_modes(
+            n_points, grid.length, boundary, K, potential.tobytes()
+        )
+        assert len(eigh_calls) == 1
+        h0 = kinetic_matrix(grid) + np.diag(potential)
+        copied = scipy.linalg.eigh(h0, subset_by_index=[0, K])[1].T / np.sqrt(grid.dx)
+        assert memo.flags.c_contiguous
+        assert np.array_equal(memo, copied)
+
+    @pytest.mark.parametrize(("boundary", "K"), [("box", 32), ("periodic", 128)])
+    def test_cold_build_holds_one_matrix(self, boundary, K):
+        # One n x n buffer plus the (K + 1, n) vectors: no second matrix,
+        # no Fortran copy of it and no copy of the vectors (1.9-2.0x before).
+        n = 512
+        grid = build_grid(n, 16.0, boundary)
+        potential = harmonic_potential(grid).values.tobytes()
+        tracemalloc.start()
+        try:
+            bdg._single_particle_modes(n, grid.length, boundary, K, potential)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * 8 * (n * n + (K + 1) * n)
+
+    @pytest.mark.slow
+    def test_large_cold_build_peak_rss(self):
+        # A fresh process, so that no earlier test's peak hides this one's:
+        # the n = 4096, K = 64 box basis must grow ru_maxrss by at most
+        # 1.25 n x n float64 matrices (about 2.06 of them before).
+        n = 4096
+        script = (
+            "import resource\n"
+            "from bogolib.bdg import build_phonon_basis\n"
+            "from bogolib.gpe import harmonic_potential, solve_stationary\n"
+            "from bogolib.grid import build_grid\n"
+            "start = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            f"grid = build_grid({n}, 16.0, 'box')\n"
+            "state = solve_stationary(grid, harmonic_potential(grid), u_tilde=2.0)\n"
+            "build_phonon_basis(state, 64)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - start)\n"
+        )
+        src = str(Path(bdg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+        )
+        growth_bytes = int(proc.stdout) * 1024  # ru_maxrss is in KiB on Linux
+        assert growth_bytes <= 1.25 * 8 * n * n
+
+
+class TestNonFinitePotential:
+    """A potential with an inf or a NaN never reaches LAPACK, which would return no modes."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_state_refuses_it(self, trap_states, bad):
+        state = trap_states[1.0]
+        values = state.potential.values.copy()
+        values[10] = bad
+        with pytest.raises(ConfigurationError, match="potential must be finite"):
+            dataclasses.replace(state, potential=ComplexField(values, state.grid))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_basis_and_assembly_refuse_it_written_later(self, bad):
+        state = _trap_state()
+        basis = build_phonon_basis(state, 8)
+        state.potential.values[10] = bad
+        with pytest.raises(ConfigurationError, match="potential must be finite"):
+            build_phonon_basis(state, 8)
+        with pytest.raises(ConfigurationError, match="finite"):
+            assemble(state, basis)
 
 
 class TestAssemble:

@@ -263,6 +263,16 @@ REJECTED_VALUES = [
         "number_shift_trap.ini", "k_modes = 32", "k_modes = 32\nevolution = linear",
         "[numerics] evolution not read by scenario number-shift",
     ),
+    # Only dynamics writes snapshots, so only dynamics reads [output] stride.
+    (
+        "stationary_harmonic.ini", "directory = out/stationary_harmonic",
+        "directory = out/stationary_harmonic\nstride = 7",
+        "[output] stride not read by scenario stationary; it reads directory, formats",
+    ),
+    (
+        "homogeneous_check.ini", "directory = out/homogeneous", "directory = out/homogeneous\nstride = 3",
+        "[output] stride not read by scenario homogeneous-check",
+    ),
 ]
 
 

@@ -138,7 +138,11 @@ class TestKineticMatrix:
         expected = dense_kinetic_oracle(grid)
         assert dense.shape == (n, n) and dense.dtype == np.float64
         assert np.max(np.abs(dense - expected)) < 1e-13 * np.max(np.abs(expected))
+        # Exact symmetry and a fresh C-ordered buffer are what let the T + V
+        # memo hand LAPACK the transpose to overwrite (bdg._single_particle_modes).
         assert np.array_equal(dense, dense.T)
+        assert dense.flags.c_contiguous and dense.flags.writeable
+        assert not np.shares_memory(dense, kinetic_matrix(grid))
 
 
 def dst_oracle(values):
