@@ -15,6 +15,13 @@ xi is parametrized by a Hermitian matrix M = L + F and a symmetric matrix G:
     G_kq = u_tilde * integral( xi^2 conj(xi_k) conj(xi_q) ) dx
     E3   = -(u_tilde/2) * integral |xi|^4 dx
 
+``assemble`` transforms the modes once: S is orthonormal and T diagonal
+in it, so the kinetic part of L is the Gram of their spectral coefficients
+weighted by sqrt(lambda) (``grid.kinetic_gram``), and the rest of M and G
+are products of grid values.  For a real xi, M + G = <xi_k | J | xi_q> with
+J = T + V + 3 u_tilde xi^2 - mu, the Newton Jacobian of ``gpe`` restricted
+to the phonon space; ``number_shift.build_report`` uses its inverse.
+
 Quasiparticles follow from the positive-norm eigenpairs of the 2K x 2K
 block matrix sigma D = [[M, G], [-conj(G), -conj(M)]], with
 D = [[M, G], [conj(G), conj(M)]] and sigma = diag(I, -I); an eigenvector
@@ -54,8 +61,8 @@ from .grid import (
     ComplexField,
     Grid1D,
     _check_same_grid,
-    _kinetic_values,
     build_grid,
+    kinetic_gram,
     kinetic_matrix,
 )
 
@@ -256,20 +263,27 @@ def assemble_from_fields(
 ) -> QuadraticHamiltonian:
     """Assemble (M, G, E3) from raw condensate/potential arrays.
 
-    A float64 xi and a real basis give real M and G.
+    M = dx (conj(H) H^T + (conj(phi) w) phi^T) with H the modes' spectral
+    coefficients times sqrt(lambda) (``grid.kinetic_gram``, one forward
+    transform) and w = V + 2 u_tilde |xi|^2 - mu; G = Y Y^T with
+    Y = conj(phi) xi sqrt(u_tilde dx).  A float64 xi and a real basis give
+    real M and G, and G is then one symmetric rank-k update.  A negative
+    u_tilde raises ``ConfigurationError``.
     """
     grid = basis.grid
     phi = basis.mode_matrix
     if xi_values.shape != (grid.n_points,):
         raise DimensionMismatchError("condensate values do not match basis grid")
+    if not u_tilde >= 0:
+        raise ConfigurationError(f"u_tilde must be non-negative, got {u_tilde!r}")
 
+    dx = grid.dx
     density = np.abs(xi_values) ** 2
     w = potential_values + 2.0 * u_tilde * density - mu
-    op_phi = _kinetic_values(grid, phi) + w * phi
-    m_matrix = (phi.conj() @ op_phi.T) * grid.dx
-
-    g_matrix = u_tilde * ((phi.conj() * (xi_values**2 * grid.dx)) @ phi.conj().T)
-    e3 = -0.5 * u_tilde * float(np.sum(density**2) * grid.dx)
+    m_matrix = dx * kinetic_gram(grid, phi) + (phi.conj() * (w * dx)) @ phi.T
+    y = phi.conj() * (xi_values * np.sqrt(u_tilde * dx))
+    g_matrix = y @ y.T
+    e3 = -0.5 * u_tilde * float(np.sum(density**2) * dx)
     return QuadraticHamiltonian(e3=e3, m_matrix=m_matrix, g_matrix=g_matrix)
 
 

@@ -6,8 +6,8 @@ and ``[physics]``, ``[numerics]`` or ``[output]`` keys the scenario does
 not read, are rejected so typos cannot silently change the physics.
 Scalar results land in ``summary.json`` (deterministic: resolved config
 included, no wall-clock data), arrays in CSV files; timing, version info
-and what the solvers did (the stationary ``SolveTrace``) go to the
-separate ``run_meta.json``.
+and what the solvers did (the stationary ``SolveTrace``, a number-shift
+run's dxi/dN CG iterations) go to the separate ``run_meta.json``.
 
 Exit codes: 0 success, 2 configuration error, 3 solver/integrator
 failure, 4 instability detected (a spectrum run still writes its outputs;
@@ -265,7 +265,11 @@ def load_config(path: str) -> dict:
                     raise ConfigurationError(f"[{section}] {key} = {raw!r}: {exc}") from None
             elif default is REQUIRED:
                 raise ConfigurationError(f"missing required key [{section}] {key}")
-            elif default is not None:
+            # Defaults only for keys the scenario reads, so the summary echoes
+            # none it leaves unread; [scenario], parsed first, has no default.
+            elif default is not None and key in READ_KEYS[config["scenario"]["name"]].get(
+                section, keys
+            ):
                 config[section][key] = default
 
     scenario = config["scenario"]["name"]
@@ -568,6 +572,7 @@ def run_number_shift(config: dict, out: OutputWriter) -> dict:
     basis = build_phonon_basis(state, K)
     spectrum = diagonalize(assemble(state, basis), basis)
     report = build_report(problem, state, basis, spectrum)
+    out.solver["number_shift"] = {"cg_iterations": report.cg_iterations}
 
     # Row by row through grid.norm, so the summary keeps its last digits.
     rel_corrections = [

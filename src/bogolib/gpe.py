@@ -222,7 +222,7 @@ def _gp_operator(grid, v_real, u_tilde, psi, t_psi=None):
     return h_psi, kin + pot + u_tilde * quart, kin + pot + 0.5 * u_tilde * quart
 
 
-def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs, *, newton_step=False):
+def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs, *, newton_step=False, start=None):
     """Solve the bordered system of the module docstring for (d, m).
 
     [[J, -psi], [psi^T dx, 0]] [d; m] = [rhs; 0] for the real orbital
@@ -234,8 +234,10 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs, *, newton_step=False)
     gives d = 0 without iterating.  With ``newton_step`` (the Newton loop
     of ``solve_stationary``) it stops at the larger of that and
     _CG_FLOOR_FRACTION eps (lambda_max(T) + max|V + 3 u_tilde psi^2 - mu|)
-    |psi|, a tenth of the round-off in J psi.  Returns (d, m, CG
-    iterations), d a contiguous float64 array.
+    |psi|, a tenth of the round-off in J psi.  CG starts from d = 0, or
+    from the real grid array ``start`` projected off psi, with its residual
+    P (rhs - J start) computed explicitly; the stopping rule is the same.
+    Returns (d, m, CG iterations), d a contiguous float64 array.
 
     Raises ``ConvergenceError`` if CG meets non-positive curvature (P J P
     not positive definite at psi) or does not converge in _CG_MAX_ITERS.
@@ -256,8 +258,12 @@ def _solve_linearized(grid, v_real, u_tilde, psi, mu, rhs, *, newton_step=False)
     def project(v):
         return v - dot(e_t, v) * e_t
 
-    d_t = np.zeros_like(e_t)
-    r = project(to_spectral(grid, rhs))
+    if start is None:
+        d_t = np.zeros_like(e_t)
+        r = project(to_spectral(grid, rhs))
+    else:
+        d_t = project(to_spectral(grid, start))
+        r = project(to_spectral(grid, rhs) - jacobian(d_t))
     target = _CG_RTOL * np.linalg.norm(rhs)
     if newton_step:
         scale = np.max(lam) + np.max(np.abs(diag))

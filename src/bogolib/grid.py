@@ -288,6 +288,28 @@ def _kinetic_values(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     return spectral_map(grid, grid.kinetic_eigs, values)
 
 
+def kinetic_gram(grid: Grid1D, values: np.ndarray) -> np.ndarray:
+    """(K, K) Gram sum_k lambda_k conj(S a)_k (S b)_k over the rows a, b of ``values``.
+
+    Times dx this is <a | -1/2 d^2/dx^2 | b>: S is orthonormal and T
+    diagonal in it, so one forward transform of the rows is all it takes.
+    With H = S(values) sqrt(lambda) the Gram is conj(H) H^T, and for a real
+    H numpy's ``H @ H.T`` is one symmetric rank-k update.  A real array on a
+    periodic grid takes the real FFT's half spectrum: each pair (k, -k)
+    appears once with weight 2, and conj(a_k) b_k + a_k conj(b_k) is a real
+    product of the float64 views of the coefficients.
+    """
+    lam = grid.kinetic_eigs
+    if grid.boundary == "periodic" and np.isrealobj(values):
+        n = grid.n_points
+        weights = 2.0 * lam[: n // 2 + 1] / n  # rfft is unnormalized
+        weights[[0, -1]] *= 0.5  # k = 0 and k = n/2 have no partner
+        h = (scipy.fft.rfft(values) * np.sqrt(weights)).view(np.float64)
+        return h @ h.T
+    h = to_spectral(grid, values) * np.sqrt(lam)
+    return h @ h.T if np.isrealobj(h) else h.conj() @ h.T
+
+
 def kinetic_matrix(grid: Grid1D) -> np.ndarray:
     """Dense real-symmetric matrix of -1/2 d^2/dx^2 on the grid, in O(n^2).
 

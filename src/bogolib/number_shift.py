@@ -11,7 +11,13 @@ converged state,
     [[T + V + 3 u_tilde xi^2 - mu, -xi], [xi^T dx, 0]] [dxi/dN; dmu/dN] = [-u xi^3; 0],
 
 whose solution is real and orthogonal to xi, so r0 vanishes by
-construction.  The r_k feed the corrected transition amplitudes
+construction.  ``build_report`` starts its conjugate gradients from the
+Galerkin solution on the phonon space, where the operator block above is
+A = M + G (``bdg``): the real form of the spectrum holds
+A^-1 = (c + s) E^-1 (c + s)^T, E = diag(eps), so the start costs four
+matrix-vector products ("init-CG" of Saad, Yeung, Erhel & Guyomarc'h,
+SIAM J. Sci. Comput. 21, 1909 (2000)).  The r_k feed the corrected
+transition amplitudes
 
     f_m = p_m - xi * sum_k r_k c_km
     g_m = q_m - xi * sum_k r_k s_km
@@ -52,16 +58,13 @@ class StationaryProblem:
         )
 
 
-def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
-    """N-derivatives (dxi/dN, dmu/dN) of a solved state, by one bordered solve.
+def _rhs(state: CondensateState) -> np.ndarray:
+    """-(u_tilde/N) xi^3, the right-hand side of the bordered solve for dxi/dN."""
+    return -(state.u_tilde / state.n_particles) * state.xi.values**3
 
-    The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
-    ``state`` must hold the float64 orbital that ``solve_stationary``
-    returns; a complex-typed orbital raises ``ConfigurationError``, even
-    one whose imaginary part is zero.  The solve is the Newton step's
-    conjugate-gradient solve, and raises its ``ConvergenceError`` when
-    that fails.
-    """
+
+def _derivative_solve(state: CondensateState, start=None) -> tuple[ComplexField, float, int]:
+    """(dxi/dN, dmu/dN, CG iterations) of ``exact_dxi_dN``."""
     psi = state.xi.values
     if np.iscomplexobj(psi):
         raise ConfigurationError(
@@ -69,15 +72,47 @@ def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
             "returns; this state's xi is complex-typed, whatever its imaginary part"
         )
     grid = state.grid
-    dpsi, dmu, _ = _solve_linearized(
-        grid,
-        state.potential.values,
-        state.u_tilde,
-        psi,
-        state.mu,
-        -(state.u_tilde / state.n_particles) * psi**3,
+    dpsi, dmu, iterations = _solve_linearized(
+        grid, state.potential.values, state.u_tilde, psi, state.mu, _rhs(state), start=start
     )
-    return ComplexField(dpsi, grid), dmu
+    return ComplexField(dpsi, grid), dmu, iterations
+
+
+def exact_dxi_dN(state: CondensateState, start=None) -> tuple[ComplexField, float]:
+    """N-derivatives (dxi/dN, dmu/dN) of a solved state, by one bordered solve.
+
+    The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
+    ``state`` must hold the float64 orbital that ``solve_stationary``
+    returns; a complex-typed orbital raises ``ConfigurationError``, even
+    one whose imaginary part is zero.  The solve is the Newton step's
+    conjugate-gradient solve, and raises its ``ConvergenceError`` when
+    that fails.  CG starts from zero, or from the real grid array
+    ``start`` (``build_report`` passes the Galerkin solution); the
+    stopping rule is the same either way.
+    """
+    dxi, dmu, _ = _derivative_solve(state, start)
+    return dxi, dmu
+
+
+def _galerkin_start(
+    state: CondensateState, basis: PhononBasis, spectrum: QuasiparticleSpectrum
+) -> np.ndarray:
+    """Galerkin solution in span(xi_k) of the dxi/dN equation, a CG start.
+
+    On the phonon space the Jacobian J of the bordered solve is
+    A = M + G = <xi_k | J | xi_q>, whose inverse the real form of the
+    spectrum holds: A^-1 = (c + s) E^-1 (c + s)^T with E = diag(eps).  The
+    start is sum_k a_k xi_k with a = A^-1 <xi_k, rhs> dx.  A spectrum of
+    another state with the same K gives a worse start, not a wrong answer.
+    """
+    if spectrum.c_matrix.shape[0] != basis.K:
+        raise DimensionMismatchError(
+            f"spectrum has {spectrum.c_matrix.shape[0]} modes, basis has {basis.K}"
+        )
+    phi = basis.mode_matrix
+    cs = spectrum.c_matrix + spectrum.s_matrix
+    b = (phi.conj() @ _rhs(state)) * basis.grid.dx
+    return (cs @ ((b @ cs) / spectrum.energies)) @ phi
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +209,7 @@ class NumberShiftReport:
     condensate_amplitude: float
     r0_raw: float = 0.0
     truncation_residual: float = 0.0
+    cg_iterations: int = 0  # of the dxi/dN solve
 
 
 def build_report(
@@ -185,14 +221,18 @@ def build_report(
     """Run the full derivative -> expansion -> amplitude chain.
 
     ``state`` is ``problem.solve(N)``; the derivative is exact (one
-    bordered solve), with no further stationary solve.
+    bordered solve), with no further stationary solve.  Its CG starts from
+    the Galerkin solution that ``spectrum`` gives (module docstring) and
+    stops at the same 1e-14 |rhs| as from zero; ``cg_iterations`` counts
+    its iterations.  A spectrum whose K is not the basis's raises
+    ``DimensionMismatchError``.
     """
     if not np.isclose(state.u_tilde, problem.u * state.n_particles, rtol=1e-12, atol=0.0):
         raise ConfigurationError(
             f"state has u_tilde {state.u_tilde!r}, but the problem's coupling "
             f"gives {problem.u * state.n_particles!r} at N = {state.n_particles!r}"
         )
-    dxi, dmu = exact_dxi_dN(state)
+    dxi, dmu, iterations = _derivative_solve(state, _galerkin_start(state, basis, spectrum))
     fix = phase_fix_and_r(state, basis, dxi)
     f_waves, g_waves = modified_amplitudes(spectrum, state, fix.r)
     return NumberShiftReport(
@@ -205,6 +245,7 @@ def build_report(
         condensate_amplitude=float(np.sqrt(state.n_particles + 1.0)),
         r0_raw=fix.r0_raw,
         truncation_residual=fix.truncation_residual,
+        cg_iterations=iterations,
     )
 
 

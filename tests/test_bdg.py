@@ -7,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
 
 import bogolib.bdg as bdg
+import bogolib.grid as grid_module
 from bogolib.bdg import (
     PhononBasis,
     QuadraticHamiltonian,
@@ -25,6 +27,7 @@ from bogolib.errors import ConfigurationError, DimensionMismatchError, Instabili
 from bogolib.gpe import h2_coefficients, harmonic_potential, solve_stationary, zero_potential
 from bogolib.grid import ComplexField, _kinetic_values, build_grid, kinetic_matrix
 from bogolib.homogeneous import bogoliubov_dispersion
+from bogolib.tdgpe import TrapQuench, propagate
 
 from conftest import orthonormal_modes
 from oracles import colpa, plane_wave_basis
@@ -347,6 +350,96 @@ class TestAssemble:
         assert np.max(np.abs(qh.m_matrix - qh.m_matrix.conj().T)) < 1e-12
         assert np.max(np.abs(qh.g_matrix - qh.g_matrix.T)) < 1e-12
 
+    @staticmethod
+    def _cases(trap_states, uniform_state):
+        """(xi values, basis, potential, u_tilde, mu): real and complex bases on both grids.
+
+        Box n = 128 transforms by the dense sine matrix, n = 512 by FFT.
+        """
+        grid = build_grid(512, 16.0, "box")
+        fine = solve_stationary(grid, harmonic_potential(grid), u_tilde=10.0)
+        cases = []
+        for state, k in ((trap_states[10.0], 24), (fine, 24), (uniform_state, 12)):
+            basis = build_phonon_basis(state, k)
+            fields = (state.potential.values, state.u_tilde, state.mu)
+            cases.append((state.xi.values, basis, *fields))
+            phased = dataclasses.replace(
+                state, xi=ComplexField(state.xi.values * np.exp(0.4j), state.grid)
+            )
+            cases.append((phased.xi.values, build_phonon_basis(phased, k), *fields))
+            boost = np.exp(0.7j * state.grid.points)
+            boosted = ComplexField(state.xi.values * boost, state.grid)
+            cases.append((boosted.values, PhononBasis(basis.mode_matrix * boost, boosted), *fields))
+        # Snapshot modes of a quench, as tdgpe.h3_of_t assembles them.
+        trap = trap_states[10.0]
+        traj = propagate(
+            trap,
+            t_final=0.02,
+            dt=1e-3,
+            potential_of_t=TrapQuench(trap.grid, 1.0, 1.2),
+            stride=10,
+            basis=build_phonon_basis(trap, 16),
+        )
+        t, xi, modes, mu = traj.times[-1], traj.xi_t[-1], traj.modes_t[-1], traj.mu_t[-1]
+        cases.append((xi.values, modes, traj.potential_of_t(t), traj.u_tilde, mu))
+        return cases
+
+    def test_matches_dense_reference(self, trap_states, uniform_state):
+        # M = conj(phi) (T + diag(w)) phi^T dx with the dense kinetic matrix,
+        # G = u_tilde conj(phi) diag(xi^2) conj(phi)^T dx.
+        for xi, basis, potential, u_tilde, mu in self._cases(trap_states, uniform_state):
+            grid, phi = basis.grid, basis.mode_matrix
+            w = potential + 2.0 * u_tilde * np.abs(xi) ** 2 - mu
+            m_ref = phi.conj() @ (kinetic_matrix(grid) + np.diag(w)) @ phi.T * grid.dx
+            g_ref = u_tilde * (phi.conj() * xi**2) @ phi.conj().T * grid.dx
+            qh = assemble_from_fields(xi, basis, potential, u_tilde, mu)
+            assert qh.m_matrix.dtype == phi.dtype
+            scale = np.max(np.abs(m_ref))
+            assert np.max(np.abs(qh.m_matrix - m_ref)) <= 1e-12 * scale
+            assert np.max(np.abs(qh.g_matrix - g_ref)) <= 1e-12 * scale
+
+    def test_m_plus_g_is_the_jacobian_on_the_phonon_space(self, trap_states, uniform_state):
+        # For a real xi, M + G = <xi_k | T + V + 3 u_tilde xi^2 - mu | xi_q>,
+        # the Jacobian of the stationary equation (gpe) on the basis.
+        for state, k in ((trap_states[10.0], 24), (uniform_state, 12)):
+            basis = build_phonon_basis(state, k)
+            phi, xi, dx = basis.mode_matrix, state.xi.values, state.grid.dx
+            j_phi = _kinetic_values(state.grid, phi) + (
+                state.potential.values + 3.0 * state.u_tilde * xi**2 - state.mu
+            ) * phi
+            qh = assemble(state, basis)
+            a = qh.m_matrix + qh.g_matrix
+            assert np.max(np.abs(a - phi @ j_phi.T * dx)) <= 1e-12 * np.max(np.abs(a))
+
+    def test_one_forward_transform_and_no_inverse(self, trap_states, uniform_state, monkeypatch):
+        calls = []
+
+        def spy(module, name, kind):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append(kind)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        # Entry points only: to_spectral calls the DST or FFT itself.
+        spy(grid_module, "to_spectral", "forward")
+        spy(scipy.fft, "rfft", "forward")
+        for name in ("from_spectral", "spectral_map", "_kinetic_values"):
+            spy(grid_module, name, "inverse")
+        for name in ("ifft", "irfft"):
+            spy(scipy.fft, name, "inverse")
+        for xi, basis, potential, u_tilde, mu in self._cases(trap_states, uniform_state):
+            calls.clear()
+            assemble_from_fields(xi, basis, potential, u_tilde, mu)
+            assert calls == ["forward"]
+
+    def test_negative_coupling_rejected(self, trap_states):
+        state = trap_states[1.0]
+        basis = build_phonon_basis(state, 8)
+        with pytest.raises(ConfigurationError, match="u_tilde"):
+            assemble_from_fields(state.xi.values, basis, state.potential.values, -1.0, state.mu)
 
     def test_grid_checks_compare_length_and_boundary(self, uniform_state, uniform_grid):
         # Grids with the same n_points as the state's, but another boundary

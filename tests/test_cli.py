@@ -115,6 +115,25 @@ class TestValidate:
         assert main(["validate", write_config(tmp_path, FOCK, outdir=tmp_path / "out")]) == 0
         assert "tol" not in json.loads(capsys.readouterr().out)["numerics"]
 
+    def test_defaults_filled_only_for_keys_the_scenario_reads(self, tmp_path, capsys):
+        def echoed(path):
+            assert main(["validate", str(path)]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        stationary = echoed(SHIPPED_CONFIGS[0].parent / "stationary_harmonic.ini")
+        assert set(stationary["numerics"]) == {"tol"}
+        assert set(stationary["output"]) == {"directory", "formats"}
+        fock = echoed(SHIPPED_CONFIGS[0].parent / "fock_oracle.ini")
+        assert "potential" not in fock["physics"]
+        dynamics = echoed(edit_config(
+            tmp_path, "dynamics_quench.ini",
+            ("dt = 2e-4\nt_final = 1.0\n", ""), ("stride = 500\n", ""),
+        ))
+        assert {k: dynamics["numerics"][k] for k in ("dt", "t_final", "evolution")} == {
+            "dt": 1e-3, "t_final": 10.0, "evolution": "gpe"
+        }
+        assert dynamics["output"]["stride"] == 10
+
     def test_missing_required_key_names_it(self, tmp_path, capsys):
         bad = UNIFORM_SPECTRUM.replace("length = 6.283185307179586\n", "")
         path = write_config(tmp_path, bad, outdir=tmp_path / "out")
@@ -463,6 +482,10 @@ directory = {outdir}
         assert summary["results"]["r_norm_sq"] > 1e-3
         assert summary["results"]["dmu_dn"] > 0.0
         assert "delta_n" not in summary["results"]
+        # What the dxi/dN solve did goes to run_meta.json alone.
+        solver = json.loads((outdir / "run_meta.json").read_text())["solver"]
+        assert 0 < solver["number_shift"]["cg_iterations"] <= 20
+        assert "cg_iterations" not in json.dumps(summary)
 
     def test_homogeneous_check_scenario(self, tmp_path):
         cfg = """

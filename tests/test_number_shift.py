@@ -9,6 +9,8 @@ from bogolib.gpe import CondensateState, harmonic_potential, zero_potential
 from bogolib.grid import ComplexField, inner_product, norm
 from bogolib.number_shift import (
     StationaryProblem,
+    _derivative_solve,
+    _galerkin_start,
     build_report,
     exact_dxi_dN,
     matrix_elements,
@@ -128,12 +130,67 @@ class TestExactDxiDN:
             build_report(other, state, basis, spectrum)
 
     def test_report_carries_exact_derivative(self, trap_setup):
+        # build_report starts CG from the Galerkin solution; given the same
+        # start, exact_dxi_dN runs the same iterations bit for bit.
         problem, state, basis, spectrum = trap_setup
         report = build_report(problem, state, basis, spectrum)
-        dxi, dmu = exact_dxi_dN(state)
+        dxi, dmu = exact_dxi_dN(state, start=_galerkin_start(state, basis, spectrum))
         assert np.array_equal(report.dxi_dN.values, dxi.values)
         assert report.dmu_dN == dmu
         assert report.r0_raw == 0.0
+
+
+class TestGalerkinStart:
+    def test_matches_cold_start(self, trap_setup):
+        problem, state, basis, spectrum = trap_setup
+        report = build_report(problem, state, basis, spectrum)
+        cold, cold_dmu, cold_iterations = _derivative_solve(state)
+        scale = np.max(np.abs(cold.values))
+        assert np.max(np.abs(report.dxi_dN.values - cold.values)) <= 1e-12 * scale
+        assert report.dmu_dN == pytest.approx(cold_dmu, rel=1e-12)
+        assert 0 < report.cg_iterations < cold_iterations
+
+    def test_start_is_the_phonon_space_solution(self, trap_setup):
+        # The start's residual P (rhs - J x0) is orthogonal to every mode:
+        # (M + G) a = <xi_k, rhs> dx is the Jacobian restricted to the basis.
+        _, state, basis, spectrum = trap_setup
+        start = _galerkin_start(state, basis, spectrum)
+        qh = assemble(state, basis)
+        phi, dx = basis.mode_matrix, state.grid.dx
+        a = phi @ start * dx
+        b = phi @ (-(state.u_tilde / state.n_particles) * state.xi.values**3) * dx
+        assert np.max(np.abs((qh.m_matrix + qh.g_matrix) @ a - b)) <= 1e-10 * np.max(np.abs(b))
+        assert abs(state.xi.values @ start * dx) <= 1e-14 * np.linalg.norm(a)
+
+    def test_start_from_another_state_converges_to_the_same_answer(self, trap_setup, trap_problem):
+        _, state, basis, spectrum = trap_setup
+        other = trap_problem.solve(300.0)
+        other_basis = build_phonon_basis(other, basis.K)
+        other_spectrum = diagonalize(assemble(other, other_basis), other_basis)
+        cold, cold_dmu = exact_dxi_dN(state)
+        warm, warm_dmu = exact_dxi_dN(
+            state, start=_galerkin_start(state, other_basis, other_spectrum)
+        )
+        scale = np.max(np.abs(cold.values))
+        assert np.max(np.abs(warm.values - cold.values)) <= 1e-12 * scale
+        assert warm_dmu == pytest.approx(cold_dmu, rel=1e-12)
+
+    def test_noninteracting_start_is_zero_and_cg_idle(self, trap_grid):
+        problem = StationaryProblem(trap_grid, harmonic_potential(trap_grid), u=0.0)
+        state = problem.solve(50.0)
+        basis = build_phonon_basis(state, 16)
+        spectrum = diagonalize(assemble(state, basis), basis)
+        assert not np.any(_galerkin_start(state, basis, spectrum))
+        report = build_report(problem, state, basis, spectrum)
+        assert report.cg_iterations == 0
+        assert not np.any(report.dxi_dN.values)
+
+    def test_spectrum_of_another_size_rejected(self, trap_setup):
+        problem, state, basis, _ = trap_setup
+        small = build_phonon_basis(state, 16)
+        spectrum = diagonalize(assemble(state, small), small)
+        with pytest.raises(DimensionMismatchError):
+            build_report(problem, state, basis, spectrum)
 
 
 class TestPhaseFixAndR:
