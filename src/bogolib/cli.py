@@ -266,10 +266,8 @@ def load_config(path: str) -> dict:
             elif default is REQUIRED:
                 raise ConfigurationError(f"missing required key [{section}] {key}")
             # Defaults only for keys the scenario reads, so the summary echoes
-            # none it leaves unread; [scenario], parsed first, has no default.
-            elif default is not None and key in READ_KEYS[config["scenario"]["name"]].get(
-                section, keys
-            ):
+            # none it leaves unread.
+            elif default is not None and key in READ_KEYS[config["scenario"]["name"]][section]:
                 config[section][key] = default
 
     scenario = config["scenario"]["name"]

@@ -297,7 +297,8 @@ def kinetic_gram(grid: Grid1D, values: np.ndarray) -> np.ndarray:
     H numpy's ``H @ H.T`` is one symmetric rank-k update.  A real array on a
     periodic grid takes the real FFT's half spectrum: each pair (k, -k)
     appears once with weight 2, and conj(a_k) b_k + a_k conj(b_k) is a real
-    product of the float64 views of the coefficients.
+    product of the float64 views of the coefficients: half the columns of
+    the float64 view of ``to_spectral``, and so the faster of the two.
     """
     lam = grid.kinetic_eigs
     if grid.boundary == "periodic" and np.isrealobj(values):

@@ -78,20 +78,17 @@ def _derivative_solve(state: CondensateState, start=None) -> tuple[ComplexField,
     return ComplexField(dpsi, grid), dmu, iterations
 
 
-def exact_dxi_dN(state: CondensateState, start=None) -> tuple[ComplexField, float]:
+def exact_dxi_dN(state: CondensateState) -> tuple[ComplexField, float]:
     """N-derivatives (dxi/dN, dmu/dN) of a solved state, by one bordered solve.
 
     The physical coupling is fixed, so d u_tilde/dN = u_tilde / N.
     ``state`` must hold the float64 orbital that ``solve_stationary``
     returns; a complex-typed orbital raises ``ConfigurationError``, even
     one whose imaginary part is zero.  The solve is the Newton step's
-    conjugate-gradient solve, and raises its ``ConvergenceError`` when
-    that fails.  CG starts from zero, or from the real grid array
-    ``start`` (``build_report`` passes the Galerkin solution); the
-    stopping rule is the same either way.
+    conjugate-gradient solve, started from zero, and raises its
+    ``ConvergenceError`` when that fails.
     """
-    dxi, dmu, _ = _derivative_solve(state, start)
-    return dxi, dmu
+    return _derivative_solve(state)[:2]
 
 
 def _galerkin_start(
